@@ -159,9 +159,9 @@ int main() {
                 static_cast<double>(pairs.size()) / batch_s);
   }
 
-  // --- Part 3: the staged DiffBatch pipeline (parse → diff → store on
-  // the work-stealing pool, bounded queues, backpressure) with a thread
-  // sweep recorded machine-readably in BENCH_parallel.json. -------------
+  // --- Part 3: the DiffBatch pipeline (each worker takes a slot through
+  // parse → diff → store on the work-stealing pool) with a thread sweep
+  // recorded machine-readably in BENCH_parallel.json. -------------------
   std::printf("\n--- DiffBatch pipeline (parse -> diff -> store), thread"
               " sweep ---\n");
   std::printf("%-8s %12s %12s %10s %12s\n", "threads", "wall_s", "docs/s",
@@ -233,8 +233,6 @@ int main() {
     for (const StageStats& stage : stats.stages) {
       point.AddNumber(stage.name + "_items",
                       static_cast<double>(stage.items));
-      point.AddNumber(stage.name + "_peak_queue",
-                      static_cast<double>(stage.peak_queue_depth));
     }
     parallel_report.AddObject("threads_" + std::to_string(threads), point);
   }

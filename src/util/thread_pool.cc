@@ -125,13 +125,13 @@ int ThreadPool::DefaultThreadCount() {
 std::string PipelineStats::ToString() const {
   std::string out;
   char line[160];
-  std::snprintf(line, sizeof(line), "%-10s %10s %8s %8s %12s %12s\n", "stage",
-                "items", "failed", "retries", "peak_queue", "stall_s");
+  std::snprintf(line, sizeof(line), "%-10s %10s %8s %8s %12s\n", "stage",
+                "items", "failed", "retries", "stall_s");
   out += line;
   for (const StageStats& s : stages) {
-    std::snprintf(line, sizeof(line), "%-10s %10zu %8zu %8zu %12zu %12.3f\n",
+    std::snprintf(line, sizeof(line), "%-10s %10zu %8zu %8zu %12.3f\n",
                   s.name.c_str(), s.items, s.failed, s.retries,
-                  s.peak_queue_depth, s.stall_seconds);
+                  s.stall_seconds);
     out += line;
   }
   std::snprintf(line, sizeof(line),

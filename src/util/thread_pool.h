@@ -7,7 +7,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,8 +33,7 @@ namespace xydiff {
 /// peer's decrement underflow `pending_` — is now a compile-time
 /// invariant: no path can touch `pending_` without `coord_mutex_`.
 ///
-/// Tasks must not block on other tasks' *submission* (they may block on
-/// queues drained by other workers — see BoundedQueue). The pool is
+/// Tasks must not block on other tasks' *submission*. The pool is
 /// fixed-size and joins in the destructor; `Wait` blocks until every
 /// submitted task has finished.
 class ThreadPool {
@@ -89,8 +87,8 @@ class ThreadPool {
 };
 
 /// Lock-free running maximum: raises `target` to at least `value`.
-/// Pipeline stages use it for high-water marks (peak in-flight, peak
-/// backlog) sampled from many workers at once.
+/// The pipeline uses it for its peak-in-flight high-water mark, sampled
+/// from many workers at once.
 inline void UpdateAtomicMax(std::atomic<size_t>& target, size_t value) {
   size_t current = target.load(std::memory_order_relaxed);
   while (value > current &&
@@ -99,16 +97,15 @@ inline void UpdateAtomicMax(std::atomic<size_t>& target, size_t value) {
   }
 }
 
-/// Per-stage counters of one pipeline run. "Stall" is time a worker
-/// spent unable to hand an item to the next stage (backpressure) — the
-/// number to watch when sizing queue capacities.
+/// Per-stage counters of one pipeline run.
 struct StageStats {
   std::string name;
-  size_t items = 0;             ///< Items processed by the stage.
-  size_t failed = 0;            ///< Items that left the pipeline here.
-  size_t retries = 0;           ///< Transient-I/O retries absorbed here.
-  size_t peak_queue_depth = 0;  ///< High-water mark of the input queue.
-  double stall_seconds = 0;     ///< Summed backpressure wait, all workers.
+  size_t items = 0;          ///< Items processed by the stage.
+  size_t failed = 0;         ///< Items that left the pipeline here.
+  size_t retries = 0;        ///< Transient-I/O retries absorbed here.
+  double stall_seconds = 0;  ///< Time a worker waited to hand an item on.
+                             ///< DiffBatch carries each slot through every
+                             ///< stage itself, so it always reports 0.
 };
 
 /// Counters for a whole DiffBatch-style pipeline run; see
@@ -132,122 +129,6 @@ struct PipelineStats {
 
   /// Human-readable multi-line table.
   std::string ToString() const;
-};
-
-/// A small bounded MPMC queue gluing pipeline stages together.
-///
-/// `TryPush` fails instead of blocking when the queue is at capacity —
-/// pipeline workers use that signal to *help downstream* (drain the full
-/// queue themselves) rather than blocking, which keeps a fixed-size pool
-/// deadlock-free. Blocking `Push`/`Pop` are provided for plain
-/// producer/consumer use. Closing wakes all waiters; `Pop` then drains
-/// what is left and reports emptiness.
-///
-/// Shutdown has two flavours with different drain semantics:
-///  - `Close()` — graceful: producers are refused, consumers drain the
-///    remaining items, then see nullopt;
-///  - `Cancel()` — abandoning: both sides return immediately (Push
-///    false, Pop nullopt) WITHOUT draining; items still queued are
-///    dropped on the floor. Every caller blocked at the moment of the
-///    call wakes exactly once and returns; callers arriving later
-///    return without blocking. TryPop keeps draining after Cancel so
-///    an owner can still reclaim items for cleanup.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity ? capacity : 1) {}
-
-  /// Non-blocking push; false when full or closed.
-  bool TryPush(T item) XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    if (items_.size() > peak_depth_) peak_depth_ = items_.size();
-    not_empty_.NotifyOne();
-    return true;
-  }
-
-  /// Blocking push; false only if the queue was closed or cancelled.
-  bool Push(T item) XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    while (!closed_ && items_.size() >= capacity_) not_full_.Wait(mutex_);
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    if (items_.size() > peak_depth_) peak_depth_ = items_.size();
-    not_empty_.NotifyOne();
-    return true;
-  }
-
-  /// Non-blocking pop; nullopt when empty.
-  std::optional<T> TryPop() XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.NotifyOne();
-    return item;
-  }
-
-  /// Blocking pop; nullopt once the queue is closed *and* drained, or
-  /// immediately (no drain) once cancelled.
-  std::optional<T> Pop() XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) not_empty_.Wait(mutex_);
-    if (cancelled_ || items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.NotifyOne();
-    return item;
-  }
-
-  /// No more pushes; waiters wake up. Pop still drains queued items.
-  void Close() XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    closed_ = true;
-    not_empty_.NotifyAll();
-    not_full_.NotifyAll();
-  }
-
-  /// Abandoning shutdown: wakes every blocked Push (returns false) and
-  /// every blocked Pop (returns nullopt, WITHOUT draining — a cancelled
-  /// consumer must not start work on a stale item). Idempotent; implies
-  /// Close for producers. This is the fix for the original shutdown
-  /// semantics, where a consumer blocked in Pop could only be released
-  /// by Close, which forced it to drain items the caller wanted
-  /// abandoned.
-  void Cancel() XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    cancelled_ = true;
-    closed_ = true;
-    not_empty_.NotifyAll();
-    not_full_.NotifyAll();
-  }
-
-  bool cancelled() const XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return cancelled_;
-  }
-
-  size_t size() const XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return items_.size();
-  }
-
-  /// High-water mark since construction.
-  size_t peak_depth() const XY_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return peak_depth_;
-  }
-
- private:
-  const size_t capacity_;
-  mutable Mutex mutex_;
-  CondVar not_empty_;
-  CondVar not_full_;
-  std::deque<T> items_ XY_GUARDED_BY(mutex_);
-  size_t peak_depth_ XY_GUARDED_BY(mutex_) = 0;
-  bool closed_ XY_GUARDED_BY(mutex_) = false;
-  bool cancelled_ XY_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace xydiff

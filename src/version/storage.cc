@@ -318,7 +318,7 @@ Result<std::string> ReadVerified(const std::string& directory,
 /// stale deltas, superseded current epochs, leftover temp files. Best
 /// effort — the loader never looks at unreferenced files, so a failed
 /// removal costs bytes, not correctness (unlike the pre-MANIFEST
-/// scan-based loader, where a stale delta silently became history).
+/// scan-based layout, where a stale delta silently became history).
 void CleanupUnreferenced(const std::string& directory,
                          const Manifest& manifest, Env* env) {
   Result<std::vector<std::string>> names = env->ListDir(directory);
@@ -369,40 +369,6 @@ void QuarantineDelta(const std::string& directory, size_t index, Env* env,
       QuarantineFile(directory, name, env, report);
     }
   }
-}
-
-/// Pre-MANIFEST layout (`current.xml` + scanned chain), kept loadable:
-/// strict, no checksums — the report flags the store as unverified.
-Result<VersionRepository> LoadLegacyRepository(const std::string& directory,
-                                               Env* env,
-                                               RecoveryReport* report) {
-  report->manifest_valid = false;
-  report->clean = false;
-  report->notes.push_back("legacy layout (no MANIFEST): loaded unverified");
-  Result<std::string> xml = env->ReadFile(directory + "/current.xml");
-  if (!xml.ok()) return xml.status();
-  Result<std::string> meta = env->ReadFile(directory + "/current.meta");
-  if (!meta.ok()) return meta.status();
-  Result<XmlDocument> current =
-      ParseDocumentPair(*xml, *meta, directory + "/current.meta");
-  if (!current.ok()) return current.status();
-
-  std::vector<Delta> deltas;
-  for (size_t i = 0;; ++i) {
-    const std::string path = directory + "/" + DeltaName(i);
-    if (!env->FileExists(path)) break;
-    Result<std::string> text = env->ReadFile(path);
-    if (!text.ok()) return text.status();
-    Result<Delta> delta = ParseDelta(*text);
-    if (!delta.ok()) {
-      return Status::Corruption("bad delta " + path + ": " +
-                                delta.status().message());
-    }
-    deltas.push_back(std::move(*delta));
-  }
-  report->recovered_version_count = static_cast<int>(deltas.size()) + 1;
-  return VersionRepository::FromParts(std::move(current.value()),
-                                      std::move(deltas));
 }
 
 /// Loads the current document for `epoch` without manifest checksums
@@ -837,9 +803,6 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
         --best_epoch;
       }
       if (best_epoch == 0) {
-        if (env->FileExists(directory + "/current.xml")) {
-          return LoadLegacyRepository(directory, env, report);
-        }
         return Status::Corruption(
             "MANIFEST corrupt and no loadable current version in " +
             directory);
@@ -855,8 +818,6 @@ Result<VersionRepository> LoadRepository(const std::string& directory,
         ++salvaged.chain;
       }
       manifest = std::move(salvaged);
-    } else if (env->FileExists(directory + "/current.xml")) {
-      return LoadLegacyRepository(directory, env, report);
     } else {
       return Status::NotFound("no repository in " + directory);
     }

@@ -39,10 +39,10 @@ namespace xydiff {
 /// Ingests of *different* documents are independent; the document map is
 /// sharded by URL hash so concurrent ingests only contend when their
 /// URLs share a shard. `IngestBatch` spreads pre-parsed documents over a
-/// work-stealing pool; `DiffBatch` is the full crawler hand-off — raw
-/// XML text through a staged parse → diff → store pipeline with bounded
-/// queues and backpressure (see DESIGN.md "Parallel warehouse
-/// pipeline"). All public methods are thread-safe.
+/// work-stealing pool; `DiffBatch` is the full crawler hand-off — each
+/// worker takes one raw XML slot at a time through parse → diff → store,
+/// and finished slots are persisted by group commit (see DESIGN.md
+/// "Parallel warehouse pipeline"). All public methods are thread-safe.
 class Warehouse {
  public:
   /// Outcome of one ingest.
@@ -69,10 +69,6 @@ class Warehouse {
   /// Tuning for DiffBatch.
   struct PipelineOptions {
     int threads = 4;
-    /// Bound of each inter-stage queue. Small keeps memory flat (at most
-    /// threads + 2*queue_capacity documents materialized at once);
-    /// large absorbs stage-speed jitter.
-    size_t queue_capacity = 8;
     /// When non-empty, the store stage persists each updated document's
     /// repository under `save_directory/<sanitized url>/` (crash-safe,
     /// see version/storage.h), so a crawler batch survives a crash.
@@ -91,18 +87,11 @@ class Warehouse {
     /// not-yet-started remainder comes back as Status kAborted. Slots
     /// already in flight still finish (their documents stay consistent).
     bool fail_fast = false;
-    /// Recycle parse arenas across slots through the warehouse's
-    /// ArenaPool instead of malloc'ing a fresh arena per document. The
-    /// pool is thread-sharded, so with shard-affine workers a slot's
-    /// blocks are usually reused warm by the same worker. Off = the
-    /// pre-pool behaviour (one fresh arena per slot), kept for A/B
-    /// testing and the aliasing regression tests.
-    bool reuse_arenas = true;
     /// Store stage group-commit width: up to this many finished slots
     /// are persisted by ONE batched crash-safe commit (one journal
     /// fsync + directory sync for the whole group instead of one
     /// manifest rename + sync per slot — see SaveRepositoryBatch).
-    /// 1 = per-slot commits (the pre-batch behaviour).
+    /// 1 = every slot commits as a group of its own.
     size_t group_commit_slots = 8;
     /// Deadline/cancellation for the whole batch (not owned; may be
     /// null). Checked at admission, at stage boundaries, inside the
@@ -138,17 +127,6 @@ class Warehouse {
     /// kUnavailable while still serving reads (Search/Checkout). A
     /// successful commit, or ResetHealth(), clears it. 0 disables.
     int degrade_after_io_failures = 0;
-    /// Bulk-load mode (default): the batch defers full-text index and
-    /// statistics maintenance out of the ingest critical path — each
-    /// touched document's index is marked stale and rebuilt lazily on
-    /// the next Search(). This is the same contract Load() already has
-    /// ("the index is rebuilt; statistics are derived state"), and it
-    /// keeps the staged pipeline's per-document cost equal to the
-    /// straight-line diff it replaces. Alerts are NEVER deferred: when
-    /// subscriptions are registered they are evaluated inline exactly
-    /// as in Ingest(). Set false to maintain index and statistics
-    /// incrementally inside the batch (the Ingest() behaviour).
-    bool defer_monitor_updates = true;
   };
 
   explicit Warehouse(DiffOptions options = {}) : options_(options) {}
@@ -172,12 +150,20 @@ class Warehouse {
   std::vector<Result<IngestReport>> IngestBatch(
       std::vector<std::pair<std::string, XmlDocument>> batch, int threads = 4);
 
-  /// Diffs a batch of raw crawled documents through the staged pipeline:
-  /// parse → diff/ingest → serialize+account the delta. Each stage runs
-  /// on the shared work-stealing pool; stages are joined by bounded
-  /// queues, and a worker that cannot hand off downstream drains the
-  /// downstream queue itself, so backpressure never deadlocks and at
-  /// most O(threads + queue_capacity) documents are in memory at once.
+  /// Diffs a batch of raw crawled documents. Each of up to `threads`
+  /// workers claims the next slot, runs admission control, parses it
+  /// into a pooled arena, diffs it against the stored version and
+  /// appends the delta, then accounts the delta's serialized size. With
+  /// a `save_directory`, finished slots park until `group_commit_slots`
+  /// of them commit together; the calling thread flushes the last,
+  /// partial group once the workers are done. A worker holds one slot
+  /// at a time, so at most `threads` documents are parsed at once.
+  ///
+  /// Monitor maintenance is deferred, as for Load(): each touched
+  /// document's full-text index is marked stale and rebuilt on the next
+  /// Search(), and change statistics are not accumulated (StatsForLabel
+  /// covers Ingest/IngestBatch only). Alerts are never deferred: with
+  /// subscriptions registered they are evaluated inline as in Ingest().
   ///
   /// One malformed document fails only its own slot — the batch always
   /// completes. Reports come back in input order. When `stats` is

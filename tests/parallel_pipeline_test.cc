@@ -1,10 +1,10 @@
-// The staged DiffBatch pipeline (parse → diff → store over the
-// work-stealing pool) must be a *refinement* of the sequential ingest
-// path: same results, same stored versions, independent of scheduling.
-// These tests drive real batches through the pipeline under every
-// configuration the scheduler can reach — more threads than documents,
-// queue capacity 1 (permanent backpressure), duplicate URLs, malformed
-// members — and pin the outputs to the single-threaded run byte for
+// The DiffBatch pipeline (each worker takes a slot through parse → diff
+// → store over the work-stealing pool) must be a *refinement* of the
+// sequential ingest path: same results, same stored versions,
+// independent of scheduling. These tests drive real batches through the
+// pipeline under every configuration the scheduler can reach — more
+// threads than documents, duplicate URLs, malformed members — and pin
+// the outputs to the single-threaded run (and to plain Ingest) byte for
 // byte. Run them under ASan/UBSan (XYDIFF_SANITIZE) and TSan
 // (XYDIFF_TSAN, tools/run_tsan_tests.sh) to make the scheduling space
 // itself part of the test.
@@ -151,15 +151,18 @@ TEST(ParallelPipelineTest, EightThreadsTwoHundredDocsMatchSingleThread) {
     EXPECT_EQ(stage.items, 200u) << stage.name;
     EXPECT_EQ(stage.failed, 0u) << stage.name;
   }
+  // The memory ceiling: each worker holds one slot, and at most one
+  // group of finished slots waits for its commit.
   EXPECT_GE(stats.peak_in_flight, 1u);
+  EXPECT_LE(stats.peak_in_flight,
+            static_cast<size_t>(parallel.threads) +
+                parallel.group_commit_slots);
   EXPECT_GT(stats.wall_seconds, 0.0);
 }
 
-// Determinism across the whole tuning space: thread counts that divide,
-// exceed, and oversubscribe the batch, with the queue bound cranked down
-// to 1 so backpressure (the help-downstream path) is exercised on every
-// hand-off.
-TEST(ParallelPipelineTest, OutcomeIndependentOfThreadsAndQueueCapacity) {
+// Determinism across thread counts that divide, exceed, and
+// oversubscribe the batch.
+TEST(ParallelPipelineTest, OutcomeIndependentOfThreadCount) {
   Corpus corpus = MakeCorpus(48, 4242);
   Warehouse::PipelineOptions reference;
   reference.threads = 1;
@@ -167,15 +170,11 @@ TEST(ParallelPipelineTest, OutcomeIndependentOfThreadsAndQueueCapacity) {
       RunPipeline(corpus, reference);
 
   for (int threads : {2, 3, 8, 64}) {
-    for (size_t capacity : {size_t{1}, size_t{2}, size_t{32}}) {
-      Warehouse::PipelineOptions pipeline;
-      pipeline.threads = threads;
-      pipeline.queue_capacity = capacity;
-      std::map<std::string, DocumentOutcome> actual =
-          RunPipeline(corpus, pipeline);
-      EXPECT_TRUE(actual == expected)
-          << "threads=" << threads << " queue_capacity=" << capacity;
-    }
+    Warehouse::PipelineOptions pipeline;
+    pipeline.threads = threads;
+    std::map<std::string, DocumentOutcome> actual =
+        RunPipeline(corpus, pipeline);
+    EXPECT_TRUE(actual == expected) << "threads=" << threads;
   }
 }
 
@@ -237,7 +236,6 @@ TEST(ParallelPipelineTest, ReportsComeBackInInputOrder) {
   Warehouse warehouse;
   Warehouse::PipelineOptions pipeline;
   pipeline.threads = 8;
-  pipeline.queue_capacity = 1;
   auto reports = warehouse.DiffBatch(corpus.week1, pipeline);
   ASSERT_EQ(reports.size(), corpus.week1.size());
   for (size_t i = 0; i < reports.size(); ++i) {
@@ -319,59 +317,90 @@ TEST(ParallelPipelineTest, AlertsFireThroughThePipeline) {
   }
 }
 
-// Arena recycling is an allocator change, never a semantic one: pooled
-// and per-slot arenas must yield byte-identical stored versions — XIDs
-// included — and identical deltas. Run under the ASan preset, this is
-// also the aliasing check: a recycled arena that still carried another
-// slot's live bytes would trip use-after-poison immediately.
+// Arena recycling is an allocator change, never a semantic one:
+// DiffBatch, which parses every slot into a pooled arena, must store the
+// same versions — XIDs included — with the same operation counts as
+// plain Ingest of documents parsed into fresh arenas. Run under the ASan
+// preset, this is also the aliasing check: a recycled arena that still
+// carried another slot's live bytes would trip use-after-poison.
 TEST(ParallelPipelineTest, PooledArenasMatchFreshArenasByteForByte) {
   Corpus corpus = MakeCorpus(60, 4600);
 
-  Warehouse::PipelineOptions fresh;
-  fresh.threads = 4;
-  fresh.reuse_arenas = false;
+  Warehouse fresh;
+  XY_ASSERT_OK(fresh.Subscribe("items", "//item"));
+  for (const Warehouse::DiffJob& job : corpus.week1) {
+    Result<XmlDocument> doc = ParseXml(job.xml);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    XY_ASSERT_OK(fresh.Ingest(job.url, std::move(*doc)).status());
+  }
+  std::vector<Result<Warehouse::IngestReport>> fresh_reports;
+  for (const Warehouse::DiffJob& job : corpus.week2) {
+    Result<XmlDocument> doc = ParseXml(job.xml);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    fresh_reports.push_back(fresh.Ingest(job.url, std::move(*doc)));
+  }
   std::map<std::string, DocumentOutcome> expected =
-      RunPipeline(corpus, fresh);
+      Observe(fresh, fresh_reports);
   ASSERT_EQ(expected.size(), 60u);
 
   Warehouse::PipelineOptions pooled;
   pooled.threads = 4;
-  pooled.reuse_arenas = true;
-  std::map<std::string, DocumentOutcome> actual =
-      RunPipeline(corpus, pooled);
-
+  std::map<std::string, DocumentOutcome> actual = RunPipeline(corpus, pooled);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (auto& [url, outcome] : actual) {
+    // Only DiffBatch reports the serialized delta size.
+    EXPECT_GT(outcome.delta_bytes, 0u) << url;
+    outcome.delta_bytes = 0;
+  }
   EXPECT_TRUE(expected == actual)
       << "arena recycling changed an observable outcome";
 }
 
-// Deferring monitor maintenance must change WHEN the index is built,
-// never what it answers: a Search after a deferred batch (lazy rebuild)
-// must equal a Search after an inline-maintained batch, and the stored
-// versions must be untouched by the policy.
+// DiffBatch defers monitor maintenance; that must change WHEN the index
+// is built, never what it answers: a Search after DiffBatch (lazy
+// rebuild) must equal a Search after IngestBatch (inline index
+// maintenance), and the stored versions must be untouched by the policy.
 TEST(ParallelPipelineTest, DeferredMonitorsAnswerSearchesIdentically) {
   Corpus corpus = MakeCorpus(30, 3000);
 
-  const auto run = [&](bool defer) {
-    auto warehouse = std::make_unique<Warehouse>();
-    Warehouse::PipelineOptions pipeline;
-    pipeline.threads = 2;
-    pipeline.defer_monitor_updates = defer;
-    for (const auto& r : warehouse->DiffBatch(corpus.week1, pipeline)) {
+  Warehouse inline_wh;
+  for (const auto* week : {&corpus.week1, &corpus.week2}) {
+    std::vector<std::pair<std::string, XmlDocument>> batch;
+    for (const Warehouse::DiffJob& job : *week) {
+      Result<XmlDocument> doc = ParseXml(job.xml);
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      batch.emplace_back(job.url, std::move(*doc));
+    }
+    for (const auto& r : inline_wh.IngestBatch(std::move(batch), 2)) {
       EXPECT_TRUE(r.ok()) << r.status().ToString();
     }
-    for (const auto& r : warehouse->DiffBatch(corpus.week2, pipeline)) {
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
-    }
-    return warehouse;
-  };
+  }
 
-  const auto inline_wh = run(false);
-  const auto deferred_wh = run(true);
+  Warehouse deferred_wh;
+  Warehouse::PipelineOptions pipeline;
+  pipeline.threads = 2;
+  for (const auto* week : {&corpus.week1, &corpus.week2}) {
+    for (const auto& r : deferred_wh.DiffBatch(*week, pipeline)) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
+  }
+
   // Probe with words that appear in generated documents plus one miss.
   for (const char* word : {"the", "item", "price", "zzz-not-a-word"}) {
-    auto expected = inline_wh->Search(word);
-    auto actual = deferred_wh->Search(word);
-    EXPECT_EQ(expected, actual) << "Search(\"" << word << "\") diverged";
+    EXPECT_EQ(inline_wh.Search(word), deferred_wh.Search(word))
+        << "Search(\"" << word << "\") diverged";
+  }
+  for (const Warehouse::DiffJob& job : corpus.week2) {
+    for (int v = 1; v <= 2; ++v) {
+      Result<XmlDocument> a = inline_wh.Checkout(job.url, v);
+      Result<XmlDocument> b = deferred_wh.Checkout(job.url, v);
+      ASSERT_TRUE(a.ok() && b.ok()) << job.url << " v" << v;
+      SerializeOptions with_xids;
+      with_xids.emit_xids = true;
+      EXPECT_EQ(SerializeDocument(*a, with_xids),
+                SerializeDocument(*b, with_xids))
+          << job.url << " v" << v;
+    }
   }
   // A later inline ingest over a stale index must rebuild, not corrupt:
   // re-ingest week2 via Ingest (inline monitors) on the deferred
@@ -379,13 +408,13 @@ TEST(ParallelPipelineTest, DeferredMonitorsAnswerSearchesIdentically) {
   for (const auto& job : corpus.week2) {
     Result<XmlDocument> doc = ParseXml(job.xml);
     ASSERT_TRUE(doc.ok());
-    auto report = deferred_wh->Ingest(job.url, std::move(*doc));
+    auto report = deferred_wh.Ingest(job.url, std::move(*doc));
     ASSERT_TRUE(report.ok()) << report.status().ToString();
   }
   for (const char* word : {"the", "item", "price"}) {
     // An identical re-ingest is a no-op delta: the rebuilt-then-applied
     // index must still answer exactly like the always-inline warehouse.
-    EXPECT_EQ(deferred_wh->Search(word), inline_wh->Search(word)) << word;
+    EXPECT_EQ(deferred_wh.Search(word), inline_wh.Search(word)) << word;
   }
 }
 

@@ -180,7 +180,6 @@ TEST_P(RoundTripProperty, DiffBatchPipelineStoresExactVersions) {
   Warehouse warehouse;
   Warehouse::PipelineOptions pipeline;
   pipeline.threads = 4;
-  pipeline.queue_capacity = 2;
   auto v1_reports = warehouse.DiffBatch({{"doc", old_xml}}, pipeline);
   ASSERT_EQ(v1_reports.size(), 1u);
   ASSERT_TRUE(v1_reports[0].ok()) << v1_reports[0].status().ToString();

@@ -132,6 +132,19 @@ TEST_F(StorageTest, LoadMissingDirectoryFails) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
+// A repository IS its MANIFEST: a directory holding only the
+// pre-MANIFEST `current.xml` + `current.meta` pair is not a repository.
+TEST_F(StorageTest, PreManifestLayoutIsNotARepository) {
+  fs::create_directories(dir_);
+  XmlDocument doc = MustParse("<r><a>text</a></r>");
+  doc.AssignInitialXids();
+  XY_ASSERT_OK(SaveDocumentWithXids(doc, Dir() + "/current.xml",
+                                    Dir() + "/current.meta"));
+  Result<VersionRepository> loaded = LoadRepository(Dir());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
+      << loaded.status().ToString();
+}
+
 TEST_F(StorageTest, CorruptMetaRejected) {
   fs::create_directories(dir_);
   XmlDocument doc = MustParse("<r/>");

@@ -1,14 +1,11 @@
-// Unit tests for the work-stealing pool and the bounded MPMC queue the
-// warehouse pipeline is built on. The pool's contract: every submitted
-// task runs exactly once, Wait() returns only after the last task (and
-// every task it spawned transitively) finished, and tasks may Submit
-// from inside a worker without deadlock. The queue's contract: FIFO per
-// producer, capacity is a hard bound, Close() wakes blocked consumers,
-// peak_depth() records the high-water mark.
+// Unit tests for the work-stealing pool the warehouse pipeline runs on.
+// The pool's contract: every submitted task runs exactly once, Wait()
+// returns only after the last task (and every task it spawned
+// transitively) finished, and tasks may Submit from inside a worker
+// without deadlock.
 
 #include <atomic>
-#include <optional>
-#include <thread>
+#include <functional>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -85,227 +82,10 @@ TEST(ThreadPoolTest, ThreadCountIsClampedToAtLeastOne) {
   EXPECT_TRUE(ran.load());
 }
 
-TEST(BoundedQueueTest, FifoWithinCapacity) {
-  BoundedQueue<int> queue(4);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(queue.TryPush(int{i}));
-  }
-  EXPECT_FALSE(queue.TryPush(99));  // Capacity is a hard bound.
-  for (int i = 0; i < 4; ++i) {
-    std::optional<int> value = queue.TryPop();
-    ASSERT_TRUE(value.has_value());
-    EXPECT_EQ(*value, i);
-  }
-  EXPECT_FALSE(queue.TryPop().has_value());
-}
-
-TEST(BoundedQueueTest, PeakDepthRecordsHighWaterMark) {
-  BoundedQueue<int> queue(8);
-  for (int i = 0; i < 5; ++i) queue.TryPush(int{i});
-  for (int i = 0; i < 5; ++i) queue.TryPop();
-  queue.TryPush(1);
-  EXPECT_EQ(queue.peak_depth(), 5u);
-}
-
-TEST(BoundedQueueTest, CapacityClampsToAtLeastOne) {
-  BoundedQueue<int> queue(0);
-  EXPECT_TRUE(queue.TryPush(7));
-  EXPECT_FALSE(queue.TryPush(8));
-  std::optional<int> value = queue.TryPop();
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(*value, 7);
-}
-
-TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
-  BoundedQueue<int> queue(2);
-  std::atomic<bool> popped_after_close{false};
-  std::thread consumer([&] {
-    // Blocking Pop returns nullopt once the queue is closed and drained.
-    while (queue.Pop().has_value()) {
-    }
-    popped_after_close.store(true);
-  });
-  queue.Push(1);
-  queue.Push(2);
-  queue.Close();
-  consumer.join();
-  EXPECT_TRUE(popped_after_close.load());
-}
-
-TEST(BoundedQueueTest, BlockedPushResumesWhenConsumerDrains) {
-  // Regression for the CondVar while-loop rewrite (PR 4): a producer
-  // blocked on a full queue must wake when a slot frees, not only on
-  // Close(). Capacity 1 forces the second Push to block.
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(queue.Push(2));
-    second_pushed.store(true);
-  });
-  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.Pop(), std::optional<int>(2));
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-}
-
-TEST(BoundedQueueTest, CloseWakesBlockedProducer) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<bool> push_rejected{false};
-  std::thread producer([&] {
-    // Blocks on the full queue until Close(), then must report failure.
-    push_rejected.store(!queue.Push(2));
-  });
-  queue.Close();
-  producer.join();
-  EXPECT_TRUE(push_rejected.load());
-  // The item enqueued before the close is still drainable.
-  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.Pop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 500;
-  BoundedQueue<int> queue(8);
-  std::atomic<long> sum{0};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&queue, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        queue.Push(p * kPerProducer + i);
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (std::optional<int> value = queue.Pop()) {
-        sum.fetch_add(*value, std::memory_order_relaxed);
-        popped.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  queue.Close();
-  for (size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-  constexpr int kTotal = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), kTotal);
-  // Sum of 0..kTotal-1.
-  EXPECT_EQ(sum.load(), static_cast<long>(kTotal) * (kTotal - 1) / 2);
-  EXPECT_LE(queue.peak_depth(), 8u);
-}
-
-TEST(BoundedQueueTest, CancelWakesBlockedConsumerWithoutDraining) {
-  // Regression for the original shutdown semantics: a consumer blocked
-  // in Pop could only be released by Close(), which forced it to drain.
-  // Cancel() must wake it exactly once, returning nullopt and leaving
-  // queued items alone. Run under TSan (tools/run_tsan_tests.sh) to
-  // cover the wakeup race itself.
-  BoundedQueue<int> queue(4);
-  constexpr int kConsumers = 3;
-  std::atomic<int> woke_empty{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      if (!queue.Pop().has_value()) {
-        woke_empty.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  // Give every consumer a chance to block on the empty queue, then pull
-  // the plug. (A consumer that has not blocked yet still sees cancelled_
-  // on entry — either order must work.)
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.Cancel();
-  for (std::thread& t : consumers) t.join();
-  EXPECT_EQ(woke_empty.load(), kConsumers);
-  EXPECT_TRUE(queue.cancelled());
-  // Pop after Cancel returns immediately, no blocking, no draining.
-  EXPECT_EQ(queue.Pop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, CancelWakesBlockedProducerExactlyOnce) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<int> push_rejected{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&] {
-      // Blocks on the full queue until Cancel(), then reports failure.
-      if (!queue.Push(2)) push_rejected.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.Cancel();
-  for (std::thread& t : producers) t.join();
-  EXPECT_EQ(push_rejected.load(), 3);
-  // The cancelled queue refuses late arrivals on both sides...
-  EXPECT_FALSE(queue.Push(3));
-  EXPECT_EQ(queue.Pop(), std::nullopt);
-  // ...but TryPop still drains the abandoned item for cleanup.
-  EXPECT_EQ(queue.TryPop(), std::optional<int>(1));
-  EXPECT_EQ(queue.TryPop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, CancelDoesNotLetPopStartWorkOnStaleItems) {
-  // Items queued before Cancel must NOT come out of blocking Pop — a
-  // cancelled consumer would otherwise start work the caller abandoned.
-  BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.Push(1));
-  ASSERT_TRUE(queue.Push(2));
-  queue.Cancel();
-  EXPECT_EQ(queue.Pop(), std::nullopt);
-  EXPECT_EQ(queue.Pop(), std::nullopt);
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(BoundedQueueTest, CancelIsIdempotentAndImpliesClose) {
-  BoundedQueue<int> queue(2);
-  queue.Cancel();
-  queue.Cancel();
-  EXPECT_TRUE(queue.cancelled());
-  EXPECT_FALSE(queue.Push(1));
-  EXPECT_FALSE(queue.TryPush(1));
-  EXPECT_EQ(queue.Pop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, CancelWhileBothSidesBlockedReleasesEveryone) {
-  // The mixed case the fix exists for: producers blocked on a full
-  // queue AND (after a cancel) consumers arriving — everybody returns,
-  // nobody deadlocks, nobody busy-loops.
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(0));
-  std::atomic<int> released{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < 2; ++p) {
-    threads.emplace_back([&] {
-      // May succeed (a racing Pop freed the slot before Cancel) or be
-      // refused — returning at all is the release under test.
-      queue.Push(1);
-      released.fetch_add(1);
-    });
-  }
-  threads.emplace_back([&] {
-    // Full queue: this Pop could legitimately pop the pre-cancel item
-    // (races with Cancel) or see the cancellation — both are releases.
-    queue.Pop();
-    released.fetch_add(1);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  queue.Cancel();
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(released.load(), 3);
-}
-
 TEST(PipelineStatsTest, ToStringListsEveryStage) {
   PipelineStats stats;
-  stats.stages.push_back({"parse", 100, 2, 0, 7, 0.25});
-  stats.stages.push_back({"diff", 98, 0, 5, 3, 0.0});
+  stats.stages.push_back({"parse", 100, 2, 0, 0.25});
+  stats.stages.push_back({"diff", 98, 0, 5, 0.0});
   stats.peak_in_flight = 12;
   stats.degraded_slots = 4;
   stats.wall_seconds = 1.5;

@@ -248,56 +248,61 @@ TEST(WarehouseTest, LoadSkipsTruncatedDocument) {
 // Regression for the group-commit flush path: FindDocument acquires a
 // shard mutex, so it must run BEFORE the flusher starts taking the
 // group's document locks (shard -> document is the order everywhere
-// else). With slots smaller than the batch, several groups flush —
-// each resolving and locking multiple documents — and every repository
-// must land on disk loadable and current.
+// else). 7 slots at width 3 make two full groups, flushed by workers,
+// and one partial group of 1 that the calling thread flushes once the
+// workers are done. Every repository must land on disk loadable and
+// current, and no batch journal may be left behind.
 TEST(WarehouseTest, GroupCommitPersistsEveryDocument) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("xydiff_group_commit_test_" +
-                        std::to_string(::getpid()));
-  fs::remove_all(dir);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const fs::path dir = fs::temp_directory_path() /
+                         ("xydiff_group_commit_test_" +
+                          std::to_string(::getpid()));
+    fs::remove_all(dir);
 
-  Warehouse warehouse;
-  constexpr int kDocs = 6;
-  for (int i = 0; i < kDocs; ++i) {
-    const std::string url = "doc" + std::to_string(i);
-    ASSERT_TRUE(
-        warehouse.Ingest(url, MustParse("<d><t>week one</t></d>")).ok());
-  }
+    Warehouse warehouse;
+    constexpr int kDocs = 7;
+    for (int i = 0; i < kDocs; ++i) {
+      const std::string url = "doc" + std::to_string(i);
+      ASSERT_TRUE(
+          warehouse.Ingest(url, MustParse("<d><t>week one</t></d>")).ok());
+    }
 
-  Warehouse::PipelineOptions pipeline;
-  pipeline.threads = 4;
-  pipeline.save_directory = dir.string();
-  pipeline.group_commit_slots = 2;  // kDocs/2 separate group flushes.
+    Warehouse::PipelineOptions pipeline;
+    pipeline.threads = threads;
+    pipeline.save_directory = dir.string();
+    pipeline.group_commit_slots = 3;
 
-  std::vector<Warehouse::DiffJob> jobs;
-  for (int i = 0; i < kDocs; ++i) {
-    jobs.push_back({"doc" + std::to_string(i),
-                    "<d><t>week two #" + std::to_string(i) + "</t></d>"});
-  }
-  const auto results = warehouse.DiffBatch(std::move(jobs), pipeline);
-  ASSERT_EQ(results.size(), static_cast<size_t>(kDocs));
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_FALSE(r->store_degraded);
-  }
+    std::vector<Warehouse::DiffJob> jobs;
+    for (int i = 0; i < kDocs; ++i) {
+      jobs.push_back({"doc" + std::to_string(i),
+                      "<d><t>week two #" + std::to_string(i) + "</t></d>"});
+    }
+    const auto results = warehouse.DiffBatch(std::move(jobs), pipeline);
+    ASSERT_EQ(results.size(), static_cast<size_t>(kDocs));
+    for (const auto& r : results) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_FALSE(r->store_degraded);
+    }
 
-  // DiffBatch persists one repository directory per document (no
-  // warehouse manifest); each must reopen cleanly at version 2.
-  for (int i = 0; i < kDocs; ++i) {
-    const std::string url = "doc" + std::to_string(i);
-    RecoveryReport report;
-    Result<VersionRepository> repo =
-        LoadRepository((dir / url).string(), nullptr, &report);
-    ASSERT_TRUE(repo.ok()) << url << ": " << repo.status().ToString();
-    EXPECT_TRUE(report.clean) << report.ToString();
-    ASSERT_EQ(repo->version_count(), 2) << url;
-    Result<XmlDocument> head = repo->Checkout(2);
-    ASSERT_TRUE(head.ok()) << head.status().ToString();
-    EXPECT_EQ(head->root()->child(0)->child(0)->text(),
-              "week two #" + std::to_string(i));
+    // DiffBatch persists one repository directory per document (no
+    // warehouse manifest); each must reopen cleanly at version 2.
+    for (int i = 0; i < kDocs; ++i) {
+      const std::string url = "doc" + std::to_string(i);
+      RecoveryReport report;
+      Result<VersionRepository> repo =
+          LoadRepository((dir / url).string(), nullptr, &report);
+      ASSERT_TRUE(repo.ok()) << url << ": " << repo.status().ToString();
+      EXPECT_TRUE(report.clean) << report.ToString();
+      ASSERT_EQ(repo->version_count(), 2) << url;
+      Result<XmlDocument> head = repo->Checkout(2);
+      ASSERT_TRUE(head.ok()) << head.status().ToString();
+      EXPECT_EQ(head->root()->child(0)->child(0)->text(),
+                "week two #" + std::to_string(i));
+    }
+    EXPECT_FALSE(fs::exists(dir / "BATCH-COMMIT"));
+    fs::remove_all(dir);
   }
-  fs::remove_all(dir);
 }
 
 TEST(WarehouseTest, EmptyDocumentRejected) {

@@ -10,10 +10,16 @@ passed via --baseline to exercise the suppression/hygiene rules.
 Each failing fixture has a *_good twin differing only in the fix, so the
 corpus pins both directions: the rule fires on the bug and stays quiet
 once the bug is gone.
+
+A fixture whose sources #include a header missing from its own tree
+fails outright: xyverify ignores unresolved includes, so a lost header
+would let a fixture pass without exercising its rule.
 """
 
 import json
 import os
+import posixpath
+import re
 import subprocess
 import sys
 
@@ -21,8 +27,41 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
 
 
+INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+
+
+def missing_includes(fixture):
+    """Quoted includes that resolve to no file of the fixture tree, tried
+    the way xyverify resolves them: under src/, beside the including
+    file, then from the fixture root."""
+    files = set()
+    for dirpath, _dirnames, filenames in os.walk(fixture):
+        for name in filenames:
+            if name.endswith((".h", ".cc")):
+                rel = os.path.relpath(os.path.join(dirpath, name), fixture)
+                files.add(rel.replace(os.sep, "/"))
+    missing = []
+    for rel in sorted(files):
+        with open(os.path.join(fixture, rel), encoding="utf-8") as f:
+            targets = INCLUDE.findall(f.read())
+        for target in targets:
+            candidates = (
+                "src/" + target,
+                posixpath.normpath(
+                    posixpath.join(posixpath.dirname(rel), target)),
+                target,
+            )
+            if not any(c in files for c in candidates):
+                missing.append("{} includes missing \"{}\"".format(
+                    rel, target))
+    return missing
+
+
 def run_fixture(name):
     fixture = os.path.join(HERE, name)
+    missing = missing_includes(fixture)
+    if missing:
+        return ["{}: {}".format(name, m) for m in missing]
     expect_path = os.path.join(fixture, "EXPECT")
     with open(expect_path, encoding="utf-8") as f:
         expected = {line.strip() for line in f if line.strip()}
@@ -57,15 +96,16 @@ def main():
         print("run_fixtures: no fixtures found", file=sys.stderr)
         return 2
     failures = []
+    failed = 0
     for name in names:
         errors = run_fixture(name)
         status = "ok" if not errors else "FAIL"
         print("{:24} {}".format(name, status))
         failures += errors
+        failed += bool(errors)
     for e in failures:
         print(e, file=sys.stderr)
-    print("{}/{} fixtures passed".format(len(names) - len(failures),
-                                         len(names)))
+    print("{}/{} fixtures passed".format(len(names) - failed, len(names)))
     return 1 if failures else 0
 
 

@@ -57,13 +57,14 @@ class LockScope:
 
 
 class CallSite:
-    __slots__ = ("held", "receiver_type", "name", "line")
+    __slots__ = ("held", "receiver_type", "name", "line", "qualified")
 
-    def __init__(self, held, receiver_type, name, line):
+    def __init__(self, held, receiver_type, name, line, qualified=False):
         self.held = held              # [(lock_id, acquire_line)]
         self.receiver_type = receiver_type
         self.name = name
         self.line = line
+        self.qualified = qualified    # Written as `Scope::name(...)`.
 
 
 class DeclInfo:
@@ -643,9 +644,10 @@ class _Parser:
             if i >= 1 and tokens[i - 1].text in (".", "->"):
                 rexpr = self.receiver_expr(i)
                 receiver = rexpr
+            qualified = i >= 1 and tokens[i - 1].text == "::"
             self.fn.calls.append(CallSite(
                 [(s.lock_id, s.line) for s in self.open_locks],
-                receiver, t.text, t.line))
+                receiver, t.text, t.line, qualified))
         return i + 1
 
     def is_method_call(self, i):

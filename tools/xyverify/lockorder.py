@@ -15,8 +15,9 @@ Edges come from (1) an acquisition while another lock's scope is open in
 the same function, and (2) a call made under a lock to a function whose
 interprocedural closure acquires locks.  The closure is a fixpoint over
 the call graph; calls resolve by receiver type when the receiver's
-declaration is visible, else by globally-unique last name, else they are
-ignored (documented approximation).
+declaration is visible, an unqualified call inside a member function by
+its own class's member of that name, else by globally-unique last name,
+else they are ignored (documented approximation).
 
 Self-edges where both acquisitions are RAII wrappers are reported as
 lock-self-deadlock (non-recursive mutexes).  Manual lock()/unlock()
@@ -407,6 +408,15 @@ class LockAnalysis:
             if len(cands) == 1:
                 return cands[0]
             return None
+        owner = self.owner_class(fn)
+        if owner and not cs.qualified:
+            # An unqualified call inside a member function names a member
+            # of its own class first (implicit `this->`), even when other
+            # classes define a function of the same name.
+            cands = self.by_suffix.get(
+                "{}::{}".format(owner.split("::")[-1], cs.name), [])
+            if len(cands) == 1:
+                return cands[0]
         cands = self.by_last.get(cs.name, [])
         if len(cands) == 1:
             return cands[0]
