@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
+#include <span>
 
 #include "core/candidates.h"
 #include "delta/delta_builder.h"
@@ -39,12 +41,13 @@ class Buld {
       : old_doc_(old_doc), new_doc_(new_doc), options_(options) {}
 
   Result<Delta> Run(DiffStats* stats) {
-    // --- Phase 2 (build flat trees, signatures, weights) ---------------
+    // --- Phase 2 (flat trees, signatures, weights, candidate index) -----
     const auto t_start = Clock::now();
     t1_ = DiffTree::Build(old_doc_, &labels_);
     t2_ = DiffTree::Build(new_doc_, &labels_);
     ComputeSignaturesAndWeights(&t1_, options_);
     ComputeSignaturesAndWeights(&t2_, options_);
+    index_.emplace(&t1_);
     const auto t_phase2 = Clock::now();
 
     // --- Phase 1 (ID attributes) ----------------------------------------
@@ -64,8 +67,6 @@ class Buld {
     // (DESIGN.md §3.17). Abandoning mid-match is safe — the trees are
     // scratch state and the caller discards the documents on error.
     DeadlineChecker checkpoint(options_.context);
-    CandidateIndex index(&t1_);
-    index_ = &index;
     NodeQueue queue(&t2_);
     queue.Push(0);
     while (!queue.empty()) {
@@ -94,6 +95,7 @@ class Buld {
       t1_.set_match(0, 0);
       t2_.set_match(0, 0);
     }
+    index_.reset();
     const auto t_phase3 = Clock::now();
 
     // --- Phase 4 (peephole optimization) -----------------------------------
@@ -145,8 +147,8 @@ class Buld {
   /// candidate outright.
   NodeIndex FindBestCandidate(NodeIndex v2) {
     const Signature sig = t2_.signature(v2);
-    const std::vector<NodeIndex>* candidates = index_->Find(sig);
-    if (candidates == nullptr) return kInvalidNode;
+    const std::span<const NodeIndex> candidates = index_->Find(sig);
+    if (candidates.empty()) return kInvalidNode;
 
     const double n =
         static_cast<double>(t1_.size()) + static_cast<double>(t2_.size());
@@ -160,14 +162,14 @@ class Buld {
       if (!t2_.matched(a2)) continue;
       const NodeIndex target = t2_.match(a2);
       if (level == 1) {
-        // O(1) via the secondary (signature, parent) index (§5.3),
+        // O(log fanout) via the secondary (signature, parent) index (§5.3),
         // preferring the candidate at the same sibling position (§5.1).
         const NodeIndex c = index_->FindUnmatchedWithParent(
             sig, target, t2_.position_in_parent(v2));
         if (c != kInvalidNode) return c;
       } else {
         size_t scanned = 0;
-        for (NodeIndex c : *candidates) {
+        for (NodeIndex c : candidates) {
           if (++scanned > options_.max_candidates_scanned) break;
           ++counters_.candidates_scanned;
           if (t1_.matched(c) || t1_.id_locked(c)) continue;
@@ -179,7 +181,7 @@ class Buld {
     if (options_.accept_unique_candidate) {
       NodeIndex unique = kInvalidNode;
       size_t scanned = 0;
-      for (NodeIndex c : *candidates) {
+      for (NodeIndex c : candidates) {
         if (++scanned > options_.max_candidates_scanned + 1) {
           return kInvalidNode;  // Too ambiguous; give up on this node.
         }
@@ -257,7 +259,8 @@ class Buld {
   LabelTable labels_;
   DiffTree t1_;
   DiffTree t2_;
-  const CandidateIndex* index_ = nullptr;
+  /// Built in Phase 2, freed when Phase 3 ends.
+  std::optional<CandidateIndex> index_;
   Counters counters_;
 };
 

@@ -73,8 +73,8 @@ struct DiffOptions {
 /// benchmark and by tests.
 struct DiffStats {
   double phase1_seconds = 0;   ///< ID-attribute matching.
-  double phase2_seconds = 0;   ///< Signatures, weights, queue setup.
-  double phase3_seconds = 0;   ///< BULD matching loop.
+  double phase2_seconds = 0;   ///< Trees, signatures, weights, candidate index.
+  double phase3_seconds = 0;   ///< BULD matching loop (heaviest-first queue).
   double phase4_seconds = 0;   ///< Peephole propagation.
   double phase5_seconds = 0;   ///< Delta construction.
 

@@ -442,7 +442,7 @@ bool ProbeBatchFaultPoint(
     const std::vector<std::vector<std::string>>& sig_before,
     const std::vector<std::vector<std::string>>& sig_after,
     const std::function<void(FaultInjectionEnv&)>& plan,
-    const Context* context = nullptr) {
+    const std::function<Context()>& make_context = {}) {
   fs::remove_all(parent);
   FaultInjectionEnv env;
   std::vector<RepositorySaveSlot> seed;
@@ -457,7 +457,12 @@ bool ProbeBatchFaultPoint(
   for (size_t i = 0; i < after.size(); ++i) {
     slots.push_back({&after[i], "slot" + std::to_string(i)});
   }
-  const Status saved = SaveRepositoryBatch(slots, parent, &env, context);
+  // Made only now, so that a deadline runs from the start of the save
+  // under test and not from the seeding save above, whose real-disk
+  // syncs can take longer than the deadline on a loaded host.
+  const Context context = make_context ? make_context() : Context();
+  const Status saved = SaveRepositoryBatch(
+      slots, parent, &env, make_context ? &context : nullptr);
   const bool triggered = env.triggered();
   XY_EXPECT_OK(env.DropUnsyncedData());
 
@@ -570,7 +575,6 @@ TEST_F(FaultInjectionTest, BatchCancelAtEveryOperationYieldsAllPreOrAllPost) {
   int cancelled_runs = 0;
   for (; op < 10000; ++op) {
     CancellationSource source;
-    const Context ctx = source.MakeContext();
     bool triggered = false;
     {
       // Count runs the save actually abandoned (vs cancels that fired
@@ -582,7 +586,7 @@ TEST_F(FaultInjectionTest, BatchCancelAtEveryOperationYieldsAllPreOrAllPost) {
           [op, &source](FaultInjectionEnv& env) {
             env.CancelAt(op, source);
           },
-          &ctx);
+          [&source] { return source.MakeContext(); });
     }
     if (source.cancelled()) ++cancelled_runs;
     if (!triggered) break;
@@ -598,14 +602,16 @@ TEST_F(FaultInjectionTest, BatchDeadlineMidSaveYieldsAllPreOrAllPost) {
   // save must notice at its next check-point and leave disk all-pre;
   // a stall landing after the journal write rolls forward to all-post.
   const BatchCorpus corpus = MakeBatchCorpus(2);
+  const auto deadline = [] {
+    return Context::WithTimeout(std::chrono::milliseconds(25));
+  };
   int op = 0;
   for (; op < 10000; ++op) {
-    const Context ctx =
-        Context::WithTimeout(std::chrono::milliseconds(25));
     if (!ProbeBatchFaultPoint(
             Dir(), corpus.before, corpus.after, corpus.sig_before,
             corpus.sig_after,
-            [op](FaultInjectionEnv& env) { env.DelayAt(op, 60); }, &ctx)) {
+            [op](FaultInjectionEnv& env) { env.DelayAt(op, 60); },
+            deadline)) {
       break;
     }
   }
@@ -620,10 +626,11 @@ TEST_F(FaultInjectionTest, DeadlineCrossTornWriteLeavesNoHybrid) {
   // pre- or post-batch. The torn write only triggers when the save
   // survives past the stall — both orders are covered by the sweep.
   const BatchCorpus corpus = MakeBatchCorpus(2);
+  const auto deadline = [] {
+    return Context::WithTimeout(std::chrono::milliseconds(25));
+  };
   for (const int delay_op : {0, 2, 4, 6, 8}) {
     for (const size_t keep : {size_t{0}, size_t{512}}) {
-      const Context ctx =
-          Context::WithTimeout(std::chrono::milliseconds(25));
       ProbeBatchFaultPoint(
           Dir(), corpus.before, corpus.after, corpus.sig_before,
           corpus.sig_after,
@@ -631,7 +638,7 @@ TEST_F(FaultInjectionTest, DeadlineCrossTornWriteLeavesNoHybrid) {
             env.DelayAt(delay_op, 60);
             env.TearWriteAt(delay_op + 3, keep);
           },
-          &ctx);
+          deadline);
     }
   }
 }
