@@ -10,11 +10,14 @@
 //   * the commit protocol's size: env operations per save (each op is a
 //     syscall-ish unit, and each is a potential crash point);
 //   * throughput of the crash-safe save and of recovery loads;
+//   * incremental-save cost at chain lengths 8, 64 and 512 (one commit,
+//     then one save), which shows what a save pays per stored file;
 //   * transient-error absorption in the DiffBatch store stage: retries
 //     spent vs slots degraded under an injected EIO window.
 //
 // Results land in BENCH_faults.json for machine comparison across runs.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -35,14 +38,15 @@ namespace fs = std::filesystem;
 using namespace xydiff;
 
 VersionRepository MakeRepo(uint64_t seed, int extra_versions,
-                           size_t target_bytes) {
+                           size_t target_bytes,
+                           const ChangeSimOptions& changes = {}) {
   Rng rng(seed);
   DocGenOptions gen;
   gen.target_bytes = target_bytes;
   VersionRepository repo(GenerateDocument(&rng, gen));
   for (int v = 0; v < extra_versions; ++v) {
     Result<SimulatedChange> change =
-        SimulateChanges(repo.current(), ChangeSimOptions{}, &rng);
+        SimulateChanges(repo.current(), changes, &rng);
     if (!change.ok() || !repo.Commit(std::move(change->new_version)).ok()) {
       std::fprintf(stderr, "corpus construction failed\n");
       std::exit(1);
@@ -64,7 +68,7 @@ int main() {
       ("xydiff_bench_faults_" + std::to_string(::getpid()));
   const std::string store = dir.string();
 
-  const VersionRepository before = MakeRepo(271828, 3, 4096);
+  VersionRepository before = MakeRepo(271828, 3, 4096);
   VersionRepository after = MakeRepo(271828, 3, 4096);
   {
     Rng rng(314159);
@@ -145,6 +149,57 @@ int main() {
   std::printf("verified load           : %.3f ms (checksums checked)\n",
               1e3 * load_seconds);
 
+  // --- incremental save cost vs chain length ----------------------------
+  // The warehouse's steady state: the store already holds the chain up
+  // to the previous version; one commit, then one save. Chain deltas
+  // never change once committed, so a save encodes only the new delta
+  // and the current files; what still grows with chain length is
+  // per-file bookkeeping (MANIFEST parse and format, one existence check
+  // per stored file, the cleanup listing). Each rep adds one
+  // version (lengths N..N+kSaveReps-1); the median is reported with
+  // the min-max spread, in wall time (fsync'd) and process CPU time.
+  // Text updates only, so the document (and each delta) keeps its size
+  // and chain length is the one variable.
+  constexpr int kSaveReps = 7;
+  ChangeSimOptions updates;
+  updates.delete_probability = 0;
+  updates.insert_probability = 0;
+  updates.move_probability = 0;
+  bench::JsonReport incremental;
+  for (const int chain : {8, 64, 512}) {
+    VersionRepository repo =
+        MakeRepo(577215 + chain, chain - 1, 4096, updates);
+    fs::remove_all(dir);
+    if (!SaveRepository(repo, store, nullptr).ok()) return 1;
+    Rng rng(chain);
+    std::vector<double> wall_ms, cpu_ms;
+    for (int rep = 0; rep < kSaveReps; ++rep) {
+      Result<SimulatedChange> change =
+          SimulateChanges(repo.current(), updates, &rng);
+      if (!change.ok() || !repo.Commit(std::move(change->new_version)).ok()) {
+        return 1;
+      }
+      const double cpu_start = bench::ProcessCpuSeconds();
+      Timer wall;
+      if (!SaveRepository(repo, store, nullptr).ok()) return 1;
+      wall_ms.push_back(1e3 * wall.Seconds());
+      cpu_ms.push_back(1e3 * (bench::ProcessCpuSeconds() - cpu_start));
+    }
+    const auto [wall_min, wall_max] =
+        std::minmax_element(wall_ms.begin(), wall_ms.end());
+    const auto [cpu_min, cpu_max] =
+        std::minmax_element(cpu_ms.begin(), cpu_ms.end());
+    std::printf("incremental save @%-4d : %.3f ms wall [%.3f-%.3f], "
+                "%.3f ms cpu [%.3f-%.3f] (median of %d)\n",
+                chain, bench::Percentile(wall_ms, 0.5), *wall_min, *wall_max,
+                bench::Percentile(cpu_ms, 0.5), *cpu_min, *cpu_max,
+                kSaveReps);
+    incremental.AddNumber("chain" + std::to_string(chain) + "_wall_ms",
+                          bench::Percentile(wall_ms, 0.5));
+    incremental.AddNumber("chain" + std::to_string(chain) + "_cpu_ms",
+                          bench::Percentile(cpu_ms, 0.5));
+  }
+
   // --- DiffBatch transient-error absorption -----------------------------
   constexpr int kDocs = 32;
   Warehouse warehouse;
@@ -213,6 +268,7 @@ int main() {
   report.AddNumber("ops_incremental_save", ops_incremental_save);
   report.AddNumber("save_ms", 1e3 * save_seconds);
   report.AddNumber("load_ms", 1e3 * load_seconds);
+  report.AddObject("incremental_save", incremental);
   report.AddObject("crash_sweep", sweep);
   report.AddObject("diff_batch_eio", batch);
   report.AddNumber("peak_rss_bytes",

@@ -12,6 +12,7 @@
 // ("in phase 1 and 2, we parse the file and hash its content").
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/buld.h"
@@ -28,9 +29,16 @@ int main() {
   bench::Banner("Figure 4: time cost of the diff phases vs document size",
                 "ICDE 2002 paper, Figure 4 (log-log, near-linear phases)");
 
-  std::printf("%-12s %-10s %12s %12s %12s %12s %12s\n", "total_bytes",
-              "nodes", "phase1+2_us", "phase3_us", "phase4_us", "phase5_us",
-              "total_us");
+  // Every size is timed kReps times (parse + diff from the serialized
+  // inputs each time); each column is the median, with the
+  // interquartile range (q3 - q1) beside it.
+  constexpr int kReps = 5;
+  std::printf("median of %d runs per size; iqr = q3 - q1 of those runs\n",
+              kReps);
+  std::printf("%-11s %-8s %11s %7s %11s %7s %11s %7s %11s %7s %11s %7s\n",
+              "total_bytes", "nodes", "phase1+2_us", "iqr", "phase3_us",
+              "iqr", "phase4_us", "iqr", "phase5_us", "iqr", "total_us",
+              "iqr");
   bench::Rule();
 
   Rng rng(42);
@@ -50,40 +58,41 @@ int main() {
     const std::string new_xml = SerializeDocument(change->new_version);
     const size_t total_bytes = old_xml.size() + new_xml.size();
 
-    // Parse + diff, repeated a few times for stable numbers on the
-    // smaller inputs.
-    const int reps = total_bytes < (1 << 18) ? 5 : 1;
-    double parse_s = 0;
-    DiffStats stats{};
-    for (int rep = 0; rep < reps; ++rep) {
+    // Microseconds per rep: phase 1+2 (with parsing), 3, 4, 5, total.
+    std::vector<double> us[5];
+    size_t nodes = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
       Timer parse_timer;
       Result<XmlDocument> old_doc = ParseXml(old_xml);
       Result<XmlDocument> new_doc = ParseXml(new_xml);
-      parse_s += parse_timer.Seconds();
+      const double parse_s = parse_timer.Seconds();
       if (!old_doc.ok() || !new_doc.ok()) {
         std::fprintf(stderr, "parse error\n");
         return 1;
       }
       old_doc->AssignInitialXids();
-      DiffStats s{};
+      DiffStats stats{};
       Result<Delta> delta =
-          XyDiff(&old_doc.value(), &new_doc.value(), DiffOptions{}, &s);
+          XyDiff(&old_doc.value(), &new_doc.value(), DiffOptions{}, &stats);
       if (!delta.ok()) {
         std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
         return 1;
       }
-      stats = s;
+      const double phases[4] = {
+          parse_s + stats.phase1_seconds + stats.phase2_seconds,
+          stats.phase3_seconds, stats.phase4_seconds, stats.phase5_seconds};
+      for (int p = 0; p < 4; ++p) us[p].push_back(phases[p] * 1e6);
+      us[4].push_back((phases[0] + phases[1] + phases[2] + phases[3]) * 1e6);
+      nodes = stats.nodes_old + stats.nodes_new;
     }
-    parse_s /= reps;
 
-    const double p12 =
-        (parse_s + stats.phase1_seconds + stats.phase2_seconds) * 1e6;
-    const double p3 = stats.phase3_seconds * 1e6;
-    const double p4 = stats.phase4_seconds * 1e6;
-    const double p5 = stats.phase5_seconds * 1e6;
-    std::printf("%-12zu %-10zu %12.0f %12.0f %12.0f %12.0f %12.0f\n",
-                total_bytes, stats.nodes_old + stats.nodes_new, p12, p3, p4,
-                p5, p12 + p3 + p4 + p5);
+    std::printf("%-11zu %-8zu", total_bytes, nodes);
+    for (int p = 0; p < 5; ++p) {
+      std::printf(" %11.0f %7.0f", bench::Percentile(us[p], 0.5),
+                  bench::Percentile(us[p], 0.75) -
+                      bench::Percentile(us[p], 0.25));
+    }
+    std::printf("\n");
   }
 
   std::printf(

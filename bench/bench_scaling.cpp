@@ -9,9 +9,11 @@
 //   1. size sweep: XyDiff vs the LaDiff-style (quadratic leaf-LCS) and
 //      DiffMK-style (flattened list) baselines;
 //   2. change-rate sweep at fixed size: XyDiff only;
-//   3. ID attributes on/off at fixed size and change rate.
+//   3. ID attributes on/off at fixed size and change rate (interleaved
+//      trials, medians with quartiles).
 
 #include <cstdio>
+#include <vector>
 
 #include "baseline/ladiff.h"
 #include "baseline/list_diff.h"
@@ -117,9 +119,14 @@ int main() {
     }
   }
 
-  std::printf("\n--- sweep 3: ID attributes (Phase 1 shortcut) ---\n");
-  std::printf("%-14s %12s %12s\n", "id_attributes", "xydiff_ms",
-              "id_matched");
+  // On/off pairs interleaved, alternating which setting runs first, so
+  // neither setting always runs on a warmer heap or cache.
+  constexpr int kIdTrials = 11;
+  std::printf("\n--- sweep 3: ID attributes (Phase 1 shortcut), median of "
+              "%d interleaved trials ---\n",
+              kIdTrials);
+  std::printf("%-14s %12s %12s %12s %12s\n", "id_attributes", "xydiff_ms",
+              "q1_ms", "q3_ms", "id_matched");
   bench::Rule();
   {
     DocGenOptions gen;
@@ -130,18 +137,30 @@ int main() {
     Result<SimulatedChange> change = SimulateChanges(base, churn, &rng);
     if (!change.ok()) return 1;
 
-    for (bool use_ids : {true, false}) {
-      DiffOptions options;
-      options.use_id_attributes = use_ids;
-      XmlDocument a = base.Clone();
-      XmlDocument b = change->new_version.Clone();
-      DiffStats stats;
-      Timer timer;
-      Result<Delta> delta = XyDiff(&a, &b, options, &stats);
-      const double s = timer.Seconds();
-      if (!delta.ok()) return 1;
-      std::printf("%-14s %12.2f %12zu\n", use_ids ? "on" : "off", s * 1e3,
-                  stats.id_matched_nodes);
+    std::vector<double> ms[2];  // [0] = IDs on, [1] = off.
+    size_t id_matched[2] = {0, 0};
+    for (int trial = 0; trial < kIdTrials; ++trial) {
+      for (int k = 0; k < 2; ++k) {
+        const int setting = (trial + k) % 2;
+        DiffOptions options;
+        options.use_id_attributes = setting == 0;
+        XmlDocument a = base.Clone();
+        XmlDocument b = change->new_version.Clone();
+        DiffStats stats;
+        Timer timer;
+        Result<Delta> delta = XyDiff(&a, &b, options, &stats);
+        const double s = timer.Seconds();
+        if (!delta.ok()) return 1;
+        ms[setting].push_back(s * 1e3);
+        id_matched[setting] = stats.id_matched_nodes;
+      }
+    }
+    for (int setting = 0; setting < 2; ++setting) {
+      std::printf("%-14s %12.2f %12.2f %12.2f %12zu\n",
+                  setting == 0 ? "on" : "off",
+                  bench::Percentile(ms[setting], 0.5),
+                  bench::Percentile(ms[setting], 0.25),
+                  bench::Percentile(ms[setting], 0.75), id_matched[setting]);
     }
   }
 

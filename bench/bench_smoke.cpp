@@ -21,13 +21,12 @@
 // The corpus is kept small (100 documents) so the gate stays under a
 // few seconds in CI; the ratio, not the absolute rate, is the contract.
 
-#include <time.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "core/buld.h"
 #include "delta/delta_xml.h"
 #include "simulator/change_simulator.h"
@@ -48,13 +47,7 @@ struct Pair {
 constexpr double kMinRatio = 0.9;
 constexpr int kTrials = 7;
 
-/// CPU time consumed so far by every thread of this process, in seconds.
-double ProcessCpuSeconds() {
-  timespec now{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
-  return static_cast<double>(now.tv_sec) +
-         1e-9 * static_cast<double>(now.tv_nsec);
-}
+using bench::ProcessCpuSeconds;
 
 // Straight-line: parse both versions, diff, serialize — the loop the
 // pipeline replaces. Returns CPU seconds, or < 0 on error.
@@ -157,17 +150,14 @@ int main() {
     pipelined_times.push_back(ps);
   }
 
-  const auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
   const double docs = static_cast<double>(pairs.size());
-  const double ratio = median(ratios);
+  const double ratio = bench::Percentile(ratios, 0.5);
   std::printf("straight-line : %7.0f docs/cpu-s (median of %d, %zu delta "
               "bytes)\n",
-              docs / median(straight_times), kTrials, delta_bytes);
+              docs / bench::Percentile(straight_times, 0.5), kTrials,
+              delta_bytes);
   std::printf("pipelined (1t): %7.0f docs/cpu-s (median of %d)\n",
-              docs / median(pipelined_times), kTrials);
+              docs / bench::Percentile(pipelined_times, 0.5), kTrials);
   std::printf("ratio         : %.2fx median of %d paired trials, range "
               "%.2f-%.2f (gate: >= %.2fx)\n",
               ratio, kTrials, *std::min_element(ratios.begin(), ratios.end()),

@@ -2,7 +2,9 @@
 #define XYDIFF_BENCH_BENCH_UTIL_H_
 
 #include <sys/resource.h>
+#include <time.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -53,6 +55,26 @@ inline std::string Bytes(double n) {
     std::snprintf(buffer, sizeof(buffer), "%.0fB", n);
   }
   return buffer;
+}
+
+/// CPU time consumed so far by every thread of this process, in seconds.
+inline double ProcessCpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+/// The `p`-quantile (0..1) of `values`, interpolating linearly between
+/// neighbouring ranks; 0 for no values. Percentile(v, 0.5) is the median.
+inline double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0;
+  std::sort(values.begin(), values.end());
+  const double rank = p * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
 /// Peak resident set size of this process so far, in bytes (0 if the

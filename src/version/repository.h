@@ -1,6 +1,7 @@
 #ifndef XYDIFF_VERSION_REPOSITORY_H_
 #define XYDIFF_VERSION_REPOSITORY_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,6 +32,30 @@ struct ReconstructionIndex {
 
   /// Chain deltas covered by one level-`level` entry.
   static size_t SpanAtLevel(size_t level) { return size_t{2} << level; }
+};
+
+/// Size and CRC-64 of one stored file's bytes (a MANIFEST entry's
+/// fingerprint).
+struct StoredFingerprint {
+  size_t size = 0;
+  uint64_t crc = 0;
+};
+
+/// Fingerprints of the repository's immutable stored forms, filled by
+/// the store (storage.h) the first time a save encodes each form: the
+/// binary encoding of chain delta i (`deltas[i]`), the checkpoint's
+/// xml/meta pair, and the binary encoding of skip entry
+/// `levels[L][I]` (`skips[L][I]`). Each entry is a pure function of
+/// in-memory content that never changes once present (the chain is
+/// append-only; the checkpoint and built skip entries are never
+/// replaced), so a save compares it against the old MANIFEST instead of
+/// re-encoding. It records no disk state: whether a file is on disk is
+/// always asked of the directory.
+struct StoredFormMemo {
+  std::vector<std::optional<StoredFingerprint>> deltas;
+  std::optional<StoredFingerprint> checkpoint_xml;
+  std::optional<StoredFingerprint> checkpoint_meta;
+  std::vector<std::vector<std::optional<StoredFingerprint>>> skips;
 };
 
 /// What one Checkout cost and which path it took.
@@ -138,6 +163,11 @@ class VersionRepository {
   /// DiffStats of the most recent Commit.
   const DiffStats& last_commit_stats() const { return last_stats_; }
 
+  /// The store's memo of stored-form fingerprints (see StoredFormMemo).
+  /// Only the save path writes it, under the caller's exclusive hold of
+  /// this repository: one save per repository runs at a time.
+  StoredFormMemo& stored_form_memo() { return stored_forms_; }
+
  private:
   Status CheckVersion(int version) const;
   /// Builds missing index entries bottom-up. `fill_holes` rescans whole
@@ -149,6 +179,7 @@ class VersionRepository {
   std::vector<Delta> deltas_;  // deltas_[k] transforms version k+1 -> k+2.
   ReconstructionIndex index_;
   DiffStats last_stats_;
+  StoredFormMemo stored_forms_;
 };
 
 }  // namespace xydiff

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <optional>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "delta/apply.h"
@@ -115,14 +116,22 @@ struct Manifest {
   size_t chain = 0;
   int prev_epoch = 0;
   size_t prev_chain = 0;
-  std::vector<ManifestFile> files;
+  std::vector<ManifestFile> files;  ///< In MANIFEST order; append via Add.
 
-  const ManifestFile* Find(const std::string& name) const {
-    for (const ManifestFile& f : files) {
-      if (f.name == name) return &f;
-    }
-    return nullptr;
+  void Add(ManifestFile file) {
+    by_name_.emplace(file.name, files.size());
+    files.push_back(std::move(file));
   }
+
+  /// The first entry named `name` (a save looks every stored file up,
+  /// so this is a hash probe, not a scan of the whole chain).
+  const ManifestFile* Find(const std::string& name) const {
+    const auto it = by_name_.find(name);
+    return it != by_name_.end() ? &files[it->second] : nullptr;
+  }
+
+ private:
+  std::unordered_map<std::string, size_t> by_name_;
 };
 
 std::string FormatManifest(const Manifest& manifest) {
@@ -182,7 +191,7 @@ Result<Manifest> ParseManifest(std::string_view text) {
         return Status::Corruption("MANIFEST file entry has a bad checksum: " +
                                   std::string(lines[i]));
       }
-      manifest.files.push_back(std::move(f));
+      manifest.Add(std::move(f));
     } else if (!keyword.empty()) {
       return Status::Corruption("MANIFEST has an unknown line: " +
                                 std::string(lines[i]));
@@ -434,8 +443,8 @@ namespace {
 /// WITHOUT committing it. The live MANIFEST still names the old state
 /// until the caller writes the returned manifest (SaveRepository) or
 /// group-commits it through a batch journal (SaveRepositoryBatch).
-/// Caller holds the directory's lock.
-Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
+/// Caller holds the directory's lock and the repository exclusively.
+Result<Manifest> WriteRepositoryData(VersionRepository& repo,
                                      const std::string& directory, Env* env) {
   if (repo.current().root() == nullptr) {
     return Status::InvalidArgument("cannot persist an empty document");
@@ -457,14 +466,22 @@ Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
     next.prev_chain = old->chain;
   }
 
-  // Writes one data file unless the old manifest already lists the same
-  // bytes under the same name — in the common append-only case every
-  // prefix delta, the checkpoint, and every old skip span are skipped,
-  // so a commit writes one delta, the newly completed skip spans, two
-  // current files, and the MANIFEST.
-  auto write_unless_unchanged = [&](std::string name,
-                                    const std::string& text) -> Status {
-    ManifestFile entry{std::move(name), text.size(), Crc64(text)};
+  // Stores one immutable form (a chain delta, a checkpoint file, a skip
+  // entry) unless the old manifest already lists the same bytes under
+  // the same name. `memo` supplies the fingerprint once any save has
+  // encoded the form, so in the common append-only case a prefix file
+  // costs a manifest probe and an existence check, no encode, and a
+  // commit writes one delta, the newly completed skip spans, two current
+  // files, and the MANIFEST.
+  auto store_unless_unchanged =
+      [&](std::string name, std::optional<StoredFingerprint>* memo,
+          const auto& encode) -> Status {
+    std::optional<std::string> bytes;
+    if (!memo->has_value()) {
+      bytes = encode();
+      *memo = StoredFingerprint{bytes->size(), Crc64(*bytes)};
+    }
+    ManifestFile entry{std::move(name), (*memo)->size, (*memo)->crc};
     const ManifestFile* existing =
         old != nullptr ? old->Find(entry.name) : nullptr;
     // The existence check matters after recovery: a quarantined file is
@@ -475,20 +492,26 @@ Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
                            existing->crc == entry.crc &&
                            env->FileExists(directory + "/" + entry.name);
     if (!unchanged) {
+      if (!bytes.has_value()) bytes = encode();
       XYDIFF_RETURN_IF_ERROR(
-          env->WriteFileAtomic(directory + "/" + entry.name, text));
+          env->WriteFileAtomic(directory + "/" + entry.name, *bytes));
     }
-    next.files.push_back(std::move(entry));
+    next.Add(std::move(entry));
     return Status::OK();
   };
+
+  StoredFormMemo& memo = repo.stored_form_memo();
 
   // Delta chain, in the compact binary codec (delta/codec.h). A legacy
   // store whose manifest lists delta.*.xml entries finds no matching
   // .bin entry, so the whole chain is rewritten in binary here and the
   // XML files become unreferenced — upgraded on the next save.
-  for (size_t i = 0; i < repo.deltas().size(); ++i) {
-    XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-        DeltaBinName(i), EncodeDeltaBinary(repo.deltas()[i])));
+  const std::vector<Delta>& deltas = repo.deltas();
+  memo.deltas.resize(deltas.size());
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    XYDIFF_RETURN_IF_ERROR(store_unless_unchanged(
+        DeltaBinName(i), &memo.deltas[i],
+        [&] { return EncodeDeltaBinary(deltas[i]); }));
   }
 
   // Reconstruction index: the version-1 checkpoint plus every present
@@ -498,16 +521,22 @@ Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
   // ~n compositions. Crash-safety is inherited: these are ordinary
   // manifest-listed data files, invisible until the MANIFEST commits.
   const ReconstructionIndex& index = repo.reconstruction_index();
-  if (index.checkpoint.has_value() && !repo.deltas().empty()) {
-    XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-        kCheckpointXmlName, SerializeCurrentXml(*index.checkpoint)));
-    XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-        kCheckpointMetaName, SerializeCurrentMeta(*index.checkpoint)));
+  if (index.checkpoint.has_value() && !deltas.empty()) {
+    XYDIFF_RETURN_IF_ERROR(store_unless_unchanged(
+        kCheckpointXmlName, &memo.checkpoint_xml,
+        [&] { return SerializeCurrentXml(*index.checkpoint); }));
+    XYDIFF_RETURN_IF_ERROR(store_unless_unchanged(
+        kCheckpointMetaName, &memo.checkpoint_meta,
+        [&] { return SerializeCurrentMeta(*index.checkpoint); }));
+    memo.skips.resize(index.levels.size());
     for (size_t level = 0; level < index.levels.size(); ++level) {
-      for (size_t i = 0; i < index.levels[level].size(); ++i) {
-        if (!index.levels[level][i].has_value()) continue;
-        XYDIFF_RETURN_IF_ERROR(write_unless_unchanged(
-            SkipName(level, i), EncodeDeltaBinary(*index.levels[level][i])));
+      const std::vector<std::optional<Delta>>& entries = index.levels[level];
+      memo.skips[level].resize(entries.size());
+      for (size_t i = 0; i < entries.size(); ++i) {
+        if (!entries[i].has_value()) continue;
+        XYDIFF_RETURN_IF_ERROR(store_unless_unchanged(
+            SkipName(level, i), &memo.skips[level][i],
+            [&] { return EncodeDeltaBinary(*entries[i]); }));
       }
     }
   }
@@ -522,15 +551,15 @@ Result<Manifest> WriteRepositoryData(const VersionRepository& repo,
       env->WriteFileAtomic(directory + "/" + xml_name, xml_text));
   XYDIFF_RETURN_IF_ERROR(
       env->WriteFileAtomic(directory + "/" + meta_name, meta_text));
-  next.files.push_back({xml_name, xml_text.size(), Crc64(xml_text)});
-  next.files.push_back({meta_name, meta_text.size(), Crc64(meta_text)});
+  next.Add({xml_name, xml_text.size(), Crc64(xml_text)});
+  next.Add({meta_name, meta_text.size(), Crc64(meta_text)});
   return next;
 }
 
 }  // namespace
 
-Status SaveRepository(const VersionRepository& repo,
-                      const std::string& directory, Env* env) {
+Status SaveRepository(VersionRepository& repo, const std::string& directory,
+                      Env* env) {
   MutexLock lock(DirectoryLocks().For(directory));
   env = Resolve(env);
   Result<Manifest> next = WriteRepositoryData(repo, directory, env);

@@ -46,6 +46,18 @@ namespace xydiff {
 /// point; one directory fsync makes the batch durable. A crash at any
 /// step leaves either the old or the new repository, never a hybrid.
 ///
+/// A save costs the new data, not the whole chain: chain deltas, the
+/// checkpoint pair and built skip entries never change once present, so
+/// the repository's StoredFormMemo keeps each one's (size, CRC-64) from
+/// the first save that encoded it. A later save writes a prefix file
+/// only when the old MANIFEST lists different bytes under its name (or
+/// none), or the file is gone from the directory (quarantined, deleted,
+/// another repository's store); otherwise it neither re-encodes nor
+/// rewrites it. The memo holds content fingerprints, never disk state,
+/// so a crashed or failed save cannot poison it; filling it is why a
+/// save takes the repository non-const, and why one save per repository
+/// runs at a time (callers hold the repository exclusively).
+///
 /// Checkpoint and skip files are *derived* state: they are loaded only
 /// from a fully verified, fully clean store, and on any damage (or any
 /// chain renumbering during recovery) the whole index is discarded and
@@ -84,14 +96,14 @@ struct RecoveryReport {
 /// previous contents are still live (the MANIFEST was not committed),
 /// except for IOError during post-commit cleanup, which is swallowed —
 /// stale files are invisible to the loader.
-Status SaveRepository(const VersionRepository& repo,
-                      const std::string& directory, Env* env = nullptr);
+Status SaveRepository(VersionRepository& repo, const std::string& directory,
+                      Env* env = nullptr);
 
 /// One repository in a group commit: what to write and where —
 /// `subdirectory` is a single path component under the batch parent
 /// directory (no separators).
 struct RepositorySaveSlot {
-  const VersionRepository* repo = nullptr;
+  VersionRepository* repo = nullptr;  ///< Its StoredFormMemo is filled.
   std::string subdirectory;
 };
 

@@ -642,7 +642,7 @@ std::string Warehouse::SanitizeUrl(const std::string& url) {
   return out.empty() ? "_" : out;
 }
 
-Status Warehouse::Save(const std::string& directory, Env* env) const {
+Status Warehouse::Save(const std::string& directory, Env* env) {
   if (env == nullptr) env = Env::Default();
   XYDIFF_RETURN_IF_ERROR(env->CreateDirs(directory));
   std::string manifest;

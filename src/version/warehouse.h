@@ -218,8 +218,9 @@ class Warehouse {
   /// Persists every document's repository under `directory/<sanitized
   /// url>/` (each crash-safe, see version/storage.h). Subscriptions,
   /// statistics and the index are derived state and are rebuilt on load.
-  /// All I/O goes through `env` (nullptr means Env::Default()).
-  Status Save(const std::string& directory, Env* env = nullptr) const;
+  /// All I/O goes through `env` (nullptr means Env::Default()). Not
+  /// const: each save fills its repository's StoredFormMemo.
+  Status Save(const std::string& directory, Env* env = nullptr);
 
   /// Loads a warehouse persisted by Save. Subscriptions must be
   /// re-registered by the caller; the full-text index is rebuilt.

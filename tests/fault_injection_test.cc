@@ -82,8 +82,8 @@ VersionRepository MakeRepo(uint64_t seed, int extra_versions) {
 /// to save `after`, crash, reopen, and require the reopened store to be
 /// bit-exactly `before` or `after`. Returns false once the armed fault
 /// no longer triggers (the sweep is past the end of the protocol).
-bool ProbeCrashPoint(const std::string& dir, const VersionRepository& before,
-                     const VersionRepository& after,
+bool ProbeCrashPoint(const std::string& dir, VersionRepository& before,
+                     VersionRepository& after,
                      const std::vector<std::string>& sig_before,
                      const std::vector<std::string>& sig_after,
                      const std::function<void(FaultInjectionEnv&)>& plan) {
@@ -118,7 +118,7 @@ bool ProbeCrashPoint(const std::string& dir, const VersionRepository& before,
 }
 
 TEST_F(FaultInjectionTest, CrashAtEveryOperationYieldsOldOrNew) {
-  const VersionRepository before = MakeRepo(21, 2);
+  VersionRepository before = MakeRepo(21, 2);
   VersionRepository after = MakeRepo(21, 2);
   {
     Rng rng(99);
@@ -145,7 +145,7 @@ TEST_F(FaultInjectionTest, CrashAtEveryOperationYieldsOldOrNew) {
 }
 
 TEST_F(FaultInjectionTest, TornWriteAtEveryOffsetYieldsOldOrNew) {
-  const VersionRepository before = MakeRepo(22, 1);
+  VersionRepository before = MakeRepo(22, 1);
   VersionRepository after = MakeRepo(22, 1);
   {
     Rng rng(100);
@@ -199,7 +199,7 @@ TEST_F(FaultInjectionTest, IndexedCrashAtEveryOperationYieldsOldOrNew) {
   // mid-checkpoint or mid-skip write — must reopen as pre- or post-save;
   // a load that sheds the derived index still counts as that epoch
   // because every version reconstructs bit-exactly over the plain chain.
-  const VersionRepository before = MakeIndexedRepo(25, 8);
+  VersionRepository before = MakeIndexedRepo(25, 8);
   VersionRepository after = MakeIndexedRepo(25, 8);
   {
     Rng rng(103);
@@ -228,7 +228,7 @@ TEST_F(FaultInjectionTest, IndexedCrashAtEveryOperationYieldsOldOrNew) {
 }
 
 TEST_F(FaultInjectionTest, IndexedTornWriteAtEveryOffsetYieldsOldOrNew) {
-  const VersionRepository before = MakeIndexedRepo(26, 8);
+  VersionRepository before = MakeIndexedRepo(26, 8);
   VersionRepository after = MakeIndexedRepo(26, 8);
   {
     Rng rng(104);
@@ -262,7 +262,7 @@ TEST_F(FaultInjectionTest, IndexedTornWriteAtEveryOffsetYieldsOldOrNew) {
 }
 
 TEST_F(FaultInjectionTest, TransientErrorAtEveryOperationIsRecoverable) {
-  const VersionRepository before = MakeRepo(23, 1);
+  VersionRepository before = MakeRepo(23, 1);
   VersionRepository after = MakeRepo(23, 1);
   {
     Rng rng(101);
@@ -437,8 +437,8 @@ TEST_F(FaultInjectionTest, FailFastAbortsRemainingSlots) {
 /// pre-batch or ALL read back post-batch — a mix is a torn group
 /// commit. Returns false once the armed fault no longer triggers.
 bool ProbeBatchFaultPoint(
-    const std::string& parent, const std::vector<VersionRepository>& before,
-    const std::vector<VersionRepository>& after,
+    const std::string& parent, std::vector<VersionRepository>& before,
+    std::vector<VersionRepository>& after,
     const std::vector<std::vector<std::string>>& sig_before,
     const std::vector<std::vector<std::string>>& sig_after,
     const std::function<void(FaultInjectionEnv&)>& plan,
@@ -524,7 +524,7 @@ BatchCorpus MakeBatchCorpus(size_t slots) {
 }
 
 TEST_F(FaultInjectionTest, BatchCrashAtEveryOperationYieldsAllPreOrAllPost) {
-  const BatchCorpus corpus = MakeBatchCorpus(3);
+  BatchCorpus corpus = MakeBatchCorpus(3);
   int op = 0;
   for (; op < 10000; ++op) {
     if (!ProbeBatchFaultPoint(
@@ -542,7 +542,7 @@ TEST_F(FaultInjectionTest, BatchCrashAtEveryOperationYieldsAllPreOrAllPost) {
 }
 
 TEST_F(FaultInjectionTest, BatchTornWriteAtEveryOffsetYieldsAllPreOrAllPost) {
-  const BatchCorpus corpus = MakeBatchCorpus(3);
+  BatchCorpus corpus = MakeBatchCorpus(3);
   // Tear offsets chosen to land inside every interesting payload: the
   // empty prefix, a single byte, mid-manifest, and mid-journal (the
   // journal embeds all three manifests, so 512 bytes usually splits
@@ -570,7 +570,7 @@ TEST_F(FaultInjectionTest, BatchCancelAtEveryOperationYieldsAllPreOrAllPost) {
   // the group-commit journal is the single commit point, so a cancel
   // noticed before it aborts cleanly and one noticed after it (there
   // are no checks after) lets the batch roll forward. Zero hybrids.
-  const BatchCorpus corpus = MakeBatchCorpus(3);
+  BatchCorpus corpus = MakeBatchCorpus(3);
   int op = 0;
   int cancelled_runs = 0;
   for (; op < 10000; ++op) {
@@ -601,7 +601,7 @@ TEST_F(FaultInjectionTest, BatchDeadlineMidSaveYieldsAllPreOrAllPost) {
   // 25 ms deadline expire mid-save, deterministically at that op. The
   // save must notice at its next check-point and leave disk all-pre;
   // a stall landing after the journal write rolls forward to all-post.
-  const BatchCorpus corpus = MakeBatchCorpus(2);
+  BatchCorpus corpus = MakeBatchCorpus(2);
   const auto deadline = [] {
     return Context::WithTimeout(std::chrono::milliseconds(25));
   };
@@ -625,7 +625,7 @@ TEST_F(FaultInjectionTest, DeadlineCrossTornWriteLeavesNoHybrid) {
   // op. Whichever fires first must still leave every slot bit-exactly
   // pre- or post-batch. The torn write only triggers when the save
   // survives past the stall — both orders are covered by the sweep.
-  const BatchCorpus corpus = MakeBatchCorpus(2);
+  BatchCorpus corpus = MakeBatchCorpus(2);
   const auto deadline = [] {
     return Context::WithTimeout(std::chrono::milliseconds(25));
   };

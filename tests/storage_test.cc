@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
+#include "delta/codec.h"
 #include "delta/delta_xml.h"
 #include "gtest/gtest.h"
 #include "simulator/change_simulator.h"
@@ -558,6 +560,179 @@ TEST_F(StorageTest, MetaTreeSizeMismatchRejected) {
   Result<XmlDocument> loaded =
       LoadDocumentWithXids(Dir() + "/d.xml", Dir() + "/d.meta");
   EXPECT_FALSE(loaded.ok());
+}
+
+
+// --- incremental saves -------------------------------------------------
+// A save fingerprints the repository's immutable stored forms (chain
+// deltas, checkpoint pair, skip entries) once and afterwards trusts the
+// memo instead of re-encoding. These tests hold it to the old contract:
+// after every save, the store is exactly what a fresh encode of the
+// whole repository would write.
+
+std::string ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// The `file NAME SIZE CRC` entries of `dir`'s live MANIFEST.
+std::map<std::string, StoredFingerprint> ManifestEntries(const fs::path& dir) {
+  std::map<std::string, StoredFingerprint> entries;
+  std::istringstream manifest(ReadBytes(dir / "MANIFEST"));
+  std::string line;
+  while (std::getline(manifest, line)) {
+    std::istringstream fields(line);
+    std::string keyword, name, crc;
+    size_t size = 0;
+    fields >> keyword >> name >> size >> crc;
+    if (keyword == "file") {
+      entries[name] = {size, std::stoull(crc, nullptr, 16)};
+    }
+  }
+  return entries;
+}
+
+/// Every chain delta, checkpoint file and skip entry of `repo` is listed
+/// in `dir`'s MANIFEST with the (size, CRC-64) of a fresh encode, the
+/// file on disk holds exactly those bytes, and no other delta, skip or
+/// checkpoint entry is listed.
+void ExpectStoreMatchesFreshEncode(const VersionRepository& repo,
+                                   const fs::path& dir) {
+  std::map<std::string, std::string> expected;
+  char name[64];
+  for (size_t i = 0; i < repo.deltas().size(); ++i) {
+    std::snprintf(name, sizeof(name), "delta.%06zu.bin", i + 1);
+    expected[name] = EncodeDeltaBinary(repo.deltas()[i]);
+  }
+  const ReconstructionIndex& index = repo.reconstruction_index();
+  if (index.checkpoint.has_value() && !repo.deltas().empty()) {
+    // SaveDocumentWithXids writes the same xml/meta pair format.
+    const fs::path fresh = dir.string() + "_fresh";
+    fs::create_directories(fresh);
+    XY_ASSERT_OK(SaveDocumentWithXids(*index.checkpoint,
+                                      (fresh / "cp.xml").string(),
+                                      (fresh / "cp.meta").string()));
+    expected["checkpoint.000001.xml"] = ReadBytes(fresh / "cp.xml");
+    expected["checkpoint.000001.meta"] = ReadBytes(fresh / "cp.meta");
+    fs::remove_all(fresh);
+    for (size_t level = 0; level < index.levels.size(); ++level) {
+      for (size_t i = 0; i < index.levels[level].size(); ++i) {
+        if (!index.levels[level][i].has_value()) continue;
+        std::snprintf(name, sizeof(name), "skip.%06zu.%06zu.bin", level, i);
+        expected[name] = EncodeDeltaBinary(*index.levels[level][i]);
+      }
+    }
+  }
+
+  const std::map<std::string, StoredFingerprint> listed =
+      ManifestEntries(dir);
+  size_t stored_forms = 0;
+  for (const auto& [file, fingerprint] : listed) {
+    if (file.rfind("current.", 0) != 0) ++stored_forms;
+  }
+  EXPECT_EQ(stored_forms, expected.size()) << dir;
+  for (const auto& [file, bytes] : expected) {
+    const auto it = listed.find(file);
+    ASSERT_NE(it, listed.end()) << file << " not in the MANIFEST";
+    EXPECT_EQ(it->second.size, bytes.size()) << file;
+    EXPECT_EQ(it->second.crc, Crc64(bytes)) << file;
+    EXPECT_TRUE(ReadBytes(dir / file) == bytes) << file << " on disk differs";
+  }
+}
+
+/// Reloads `dir` and requires a clean, bit-exact copy of `repo`.
+void ExpectReloadsBitExact(const VersionRepository& repo,
+                           const std::string& dir) {
+  RecoveryReport report;
+  Result<VersionRepository> loaded = LoadRepository(dir, nullptr, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(report.clean) << report.ToString();
+  ASSERT_EQ(loaded->deltas().size(), repo.deltas().size());
+  for (size_t i = 0; i < repo.deltas().size(); ++i) {
+    EXPECT_EQ(EncodeDeltaBinary(loaded->deltas()[i]),
+              EncodeDeltaBinary(repo.deltas()[i]))
+        << "delta " << i + 1;
+  }
+  EXPECT_TRUE(DocsEqualWithXids(loaded->current(), repo.current()));
+  ExpectAllVersionsEqual(repo, *loaded);
+}
+
+void CommitOneChange(VersionRepository* repo, Rng* rng) {
+  Result<SimulatedChange> change =
+      SimulateChanges(repo->current(), ChangeSimOptions{}, rng);
+  ASSERT_TRUE(change.ok());
+  ASSERT_TRUE(repo->Commit(std::move(change->new_version)).ok());
+}
+
+TEST_F(StorageTest, IncrementalSavesMatchFreshEncode) {
+  // An active index, so the checkpoint and skip entries (completed at
+  // chain lengths 2, 4, 6, 8) are memoized alongside the chain.
+  VersionRepository repo = MakeIndexedRepo(30, 0);
+  Rng rng(31);
+  for (int k = 0; k < 9; ++k) {
+    CommitOneChange(&repo, &rng);
+    XY_ASSERT_OK(SaveRepository(repo, Dir()));
+    ExpectStoreMatchesFreshEncode(repo, dir_);
+  }
+  ASSERT_EQ(repo.reconstruction_index().levels.size(), 3u);
+  ExpectReloadsBitExact(repo, Dir());
+}
+
+TEST_F(StorageTest, IncrementalBatchSavesMatchFreshEncode) {
+  std::vector<VersionRepository> repos;
+  repos.push_back(MakeIndexedRepo(32, 0));
+  repos.push_back(MakeRepo(33, 0));
+  Rng rng(34);
+  for (int k = 0; k < 9; ++k) {
+    std::vector<RepositorySaveSlot> slots;
+    for (size_t r = 0; r < repos.size(); ++r) {
+      CommitOneChange(&repos[r], &rng);
+      slots.push_back({&repos[r], "slot" + std::to_string(r)});
+    }
+    XY_ASSERT_OK(SaveRepositoryBatch(slots, Dir()));
+    for (size_t r = 0; r < repos.size(); ++r) {
+      ExpectStoreMatchesFreshEncode(repos[r], dir_ / slots[r].subdirectory);
+    }
+  }
+  for (size_t r = 0; r < repos.size(); ++r) {
+    ExpectReloadsBitExact(repos[r], Dir() + "/slot" + std::to_string(r));
+  }
+}
+
+TEST_F(StorageTest, SaveOverAnotherRepositoryRewritesDifferingFiles) {
+  // Same chain length, so every file name collides; the contents differ.
+  VersionRepository a = MakeIndexedRepo(35, 4);
+  VersionRepository b = MakeIndexedRepo(36, 4);
+  ASSERT_EQ(a.deltas().size(), b.deltas().size());
+  // Both memos are filled by saves elsewhere before the stores collide.
+  XY_ASSERT_OK(SaveRepository(a, Dir() + "/a"));
+  XY_ASSERT_OK(SaveRepository(b, Dir() + "/b"));
+  const std::string shared = Dir() + "/shared";
+  XY_ASSERT_OK(SaveRepository(a, shared));
+  XY_ASSERT_OK(SaveRepository(b, shared));
+  ExpectStoreMatchesFreshEncode(b, shared);
+  ExpectReloadsBitExact(b, shared);
+  XY_ASSERT_OK(SaveRepository(a, shared));
+  ExpectStoreMatchesFreshEncode(a, shared);
+  ExpectReloadsBitExact(a, shared);
+}
+
+TEST_F(StorageTest, StoredFormRemovedBetweenSavesIsRewritten) {
+  VersionRepository repo = MakeIndexedRepo(37, 4);
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  // Still listed, with matching bytes, in the MANIFEST the next save
+  // reads — only the directory knows the files are gone.
+  for (const char* name : {"delta.000002.bin", "skip.000000.000001.bin",
+                           "checkpoint.000001.meta"}) {
+    ASSERT_TRUE(fs::remove(dir_ / name)) << name;
+  }
+  Rng rng(38);
+  CommitOneChange(&repo, &rng);
+  XY_ASSERT_OK(SaveRepository(repo, Dir()));
+  ExpectStoreMatchesFreshEncode(repo, dir_);
+  ExpectReloadsBitExact(repo, Dir());
 }
 
 }  // namespace
