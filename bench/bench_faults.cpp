@@ -218,8 +218,9 @@ int main() {
     jobs.push_back({url, SerializeDocument(change->new_version)});
   }
   fs::remove_all(dir);
+  constexpr int kBurstOps = 20;
   FaultInjectionEnv flaky;
-  flaky.InjectErrorAt(/*op=*/5, /*count=*/20);  // An EIO burst mid-batch.
+  flaky.InjectErrorAt(/*op=*/5, kBurstOps);  // An EIO burst mid-batch.
   Warehouse::PipelineOptions pipeline;
   pipeline.threads = 4;
   pipeline.save_directory = store;
@@ -229,6 +230,9 @@ int main() {
   Timer batch_timer;
   const auto results = warehouse.DiffBatch(std::move(jobs), pipeline, &stats);
   const double batch_seconds = batch_timer.Seconds();
+  // Per-slot sum: a group commit's retries are charged to every slot in
+  // the group, so this reads group_commit_slots times the per-commit
+  // count from the store stage.
   size_t retries = 0;
   size_t degraded = 0;
   size_t failed_slots = 0;
@@ -240,9 +244,13 @@ int main() {
     retries += r->store_retries;
     if (r->store_degraded) ++degraded;
   }
-  std::printf("diff batch under EIO    : %d docs, %zu retries absorbed, "
-              "%zu degraded, %zu failed, %.3f s\n",
-              kDocs, retries, degraded, failed_slots, batch_seconds);
+  const size_t commit_retries = stats.stages.back().retries;
+  std::printf("diff batch under EIO    : %d docs, %zu retries absorbed "
+              "(%zu per commit, groups of %zu), %zu degraded, %zu failed, "
+              "%d env ops for a %d-op burst, %.3f s\n",
+              kDocs, retries, commit_retries, pipeline.group_commit_slots,
+              degraded, failed_slots, flaky.op_count(), kBurstOps,
+              batch_seconds);
 
   bench::Rule();
 
@@ -257,6 +265,10 @@ int main() {
   bench::JsonReport batch;
   batch.AddNumber("documents", kDocs);
   batch.AddNumber("retries_absorbed", retries);
+  batch.AddNumber("commit_retries", commit_retries);
+  batch.AddNumber("group_commit_slots", pipeline.group_commit_slots);
+  batch.AddNumber("burst_ops", kBurstOps);
+  batch.AddNumber("env_ops", flaky.op_count());
   batch.AddNumber("degraded_slots", degraded);
   batch.AddNumber("failed_slots", failed_slots);
   batch.AddNumber("wall_seconds", batch_seconds);

@@ -160,7 +160,7 @@ int main() {
   }
 
   // --- Part 3: the DiffBatch pipeline (each worker takes a slot through
-  // parse → diff → store on the work-stealing pool) with a thread sweep
+  // parse → diff → store on ParallelFor workers) with a thread sweep
   // recorded machine-readably in BENCH_parallel.json. -------------------
   std::printf("\n--- DiffBatch pipeline (parse -> diff -> store), thread"
               " sweep ---\n");

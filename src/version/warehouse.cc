@@ -5,6 +5,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string_view>
 #include <unordered_set>
@@ -13,12 +14,24 @@
 #include "delta/node_index.h"
 #include "util/retry.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "version/storage.h"
 #include "xml/parser.h"
 
 namespace xydiff {
 
 namespace {
+
+/// Lock-free running maximum: raises `target` to at least `value`.
+/// DiffBatch keeps its peak-in-flight high-water mark with it, sampled
+/// from every worker at once.
+void UpdateAtomicMax(std::atomic<size_t>& target, size_t value) {
+  size_t current = target.load(std::memory_order_relaxed);
+  while (value > current &&
+         !target.compare_exchange_weak(current, value,
+                                       std::memory_order_relaxed)) {
+  }
+}
 
 /// The store stage's retry policy, derived from the pipeline knobs.
 /// The jitter seed mixes in a per-call salt so concurrent flush groups
@@ -221,16 +234,10 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::IngestBatch(
     std::vector<std::pair<std::string, XmlDocument>> batch, int threads) {
   std::vector<Result<IngestReport>> results = ResultSlots(
       batch, &std::pair<std::string, XmlDocument>::first, "ingest never ran");
-  const int worker_count =
-      std::max(1, std::min<int>(threads, static_cast<int>(batch.size())));
-  ThreadPool pool(worker_count);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (IsDuplicateSlot(results[i])) continue;
-    pool.Submit([this, i, &batch, &results] {
-      results[i] = Ingest(batch[i].first, std::move(batch[i].second));
-    });
-  }
-  pool.Wait();
+  ParallelFor(batch.size(), threads, [&](size_t i) {
+    if (IsDuplicateSlot(results[i])) return;
+    results[i] = Ingest(batch[i].first, std::move(batch[i].second));
+  });
   return results;
 }
 
@@ -241,7 +248,7 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
   std::vector<Result<IngestReport>> results =
       ResultSlots(jobs, &DiffJob::url, "pipeline never ran");
 
-  std::atomic<size_t> next_job{0}, admitted_bytes{0};
+  std::atomic<size_t> admitted_bytes{0};
   std::atomic<size_t> in_flight{0}, peak_in_flight{0}, degraded_slots{0};
   std::atomic<size_t> parse_items{0}, parse_failed{0}, diff_failed{0};
   std::atomic<size_t> store_items{0}, store_failed{0}, store_retries{0};
@@ -435,26 +442,16 @@ std::vector<Result<Warehouse::IngestReport>> Warehouse::DiffBatch(
     return true;
   };
 
-  const int worker_count = std::clamp(
-      pipeline.threads, 1, static_cast<int>(std::max<size_t>(1, jobs.size())));
-  {
-    ThreadPool pool(worker_count);
-    for (int t = 0; t < worker_count; ++t) {
-      pool.Submit([&] {
-        for (size_t i = next_job++; i < jobs.size(); i = next_job++) {
-          if (IsDuplicateSlot(results[i])) continue;
-          Status admitted = admission(i);
-          if (!admitted.ok()) {
-            results[i] = std::move(admitted);
-            continue;
-          }
-          UpdateAtomicMax(peak_in_flight, ++in_flight);
-          if (!run_slot(i)) --in_flight;
-        }
-      });
+  ParallelFor(jobs.size(), pipeline.threads, [&](size_t i) {
+    if (IsDuplicateSlot(results[i])) return;
+    Status admitted = admission(i);
+    if (!admitted.ok()) {
+      results[i] = std::move(admitted);
+      return;
     }
-    pool.Wait();
-  }
+    UpdateAtomicMax(peak_in_flight, ++in_flight);
+    if (!run_slot(i)) --in_flight;
+  });
   // Every worker has returned; flush the one under-full group left.
   flush_group(std::move(parked_slots));
 
@@ -568,6 +565,32 @@ std::string Warehouse::Health::ToString() const {
   out += ": io_failure_streak=" + std::to_string(io_failure_streak);
   out += " open_breakers=" + std::to_string(open_breakers);
   out += " documents=" + std::to_string(documents);
+  return out;
+}
+
+std::string PipelineStats::ToString() const {
+  std::string out;
+  char line[160];
+  std::snprintf(line, sizeof(line), "%-10s %10s %8s %8s %12s\n", "stage",
+                "items", "failed", "retries", "stall_s");
+  out += line;
+  for (const StageStats& s : stages) {
+    std::snprintf(line, sizeof(line), "%-10s %10zu %8zu %8zu %12.3f\n",
+                  s.name.c_str(), s.items, s.failed, s.retries,
+                  s.stall_seconds);
+    out += line;
+  }
+  std::snprintf(line, sizeof(line),
+                "peak in flight %zu, degraded slots %zu, wall %.3f s\n",
+                peak_in_flight, degraded_slots, wall_seconds);
+  out += line;
+  if (shed_slots + quarantined_slots + deadline_slots + cancelled_slots > 0) {
+    std::snprintf(line, sizeof(line),
+                  "shed %zu, quarantined %zu, deadline %zu, cancelled %zu\n",
+                  shed_slots, quarantined_slots, deadline_slots,
+                  cancelled_slots);
+    out += line;
+  }
   return out;
 }
 

@@ -18,10 +18,43 @@
 #include "util/context.h"
 #include "util/env.h"
 #include "util/mutex.h"
-#include "util/thread_pool.h"
 #include "version/repository.h"
 
 namespace xydiff {
+
+/// Per-stage counters of one DiffBatch run.
+struct StageStats {
+  std::string name;
+  size_t items = 0;          ///< Items processed by the stage.
+  size_t failed = 0;         ///< Items that left the pipeline here.
+  size_t retries = 0;        ///< Transient-I/O retries absorbed here.
+  double stall_seconds = 0;  ///< Time a worker waited to hand an item on.
+                             ///< DiffBatch carries each slot through every
+                             ///< stage itself, so it always reports 0.
+};
+
+/// Counters for a whole DiffBatch run; see DESIGN.md "Parallel
+/// warehouse pipeline" for how to read them.
+struct PipelineStats {
+  std::vector<StageStats> stages;
+  size_t peak_in_flight = 0;  ///< Max documents alive at once.
+  size_t degraded_slots = 0;  ///< Slots that succeeded only after retries,
+                              ///< or completed without their side effects
+                              ///< (e.g. persistence gave up) — per-slot
+                              ///< degradation, distinct from failures.
+  // Overload accounting (DESIGN.md §3.17). These four partition the
+  // slots that the pipeline declined or abandoned, by cause:
+  size_t shed_slots = 0;        ///< Admission control: a byte/slot budget
+                                ///< would be exceeded (kResourceExhausted).
+  size_t quarantined_slots = 0; ///< Circuit breaker open for the URL, or
+                                ///< warehouse degraded (kUnavailable).
+  size_t deadline_slots = 0;    ///< Context deadline fired (kDeadlineExceeded).
+  size_t cancelled_slots = 0;   ///< Context cancelled (kCancelled).
+  double wall_seconds = 0;
+
+  /// Human-readable multi-line table.
+  std::string ToString() const;
+};
 
 /// The dynamic XML warehouse of Figure 1, assembled from the library's
 /// parts: "When a new version of a document V(n) is received (or crawled
@@ -38,8 +71,8 @@ namespace xydiff {
 ///
 /// Ingests of *different* documents are independent; the document map is
 /// sharded by URL hash so concurrent ingests only contend when their
-/// URLs share a shard. `IngestBatch` spreads pre-parsed documents over a
-/// work-stealing pool; `DiffBatch` is the full crawler hand-off — each
+/// URLs share a shard. `IngestBatch` spreads pre-parsed documents over
+/// `ParallelFor` workers; `DiffBatch` is the full crawler hand-off — each
 /// worker takes one raw XML slot at a time through parse → diff → store,
 /// and finished slots are persisted by group commit (see DESIGN.md
 /// "Parallel warehouse pipeline"). All public methods are thread-safe.
@@ -143,10 +176,10 @@ class Warehouse {
   /// version 1; later sights run the diff pipeline.
   Result<IngestReport> Ingest(const std::string& url, XmlDocument document);
 
-  /// Ingests many pre-parsed documents concurrently on a work-stealing
-  /// pool of up to `threads` workers. URLs must be distinct within one
-  /// batch. Reports come back in input order; a failed document carries
-  /// its error in the result slot.
+  /// Ingests many pre-parsed documents concurrently: up to `threads`
+  /// workers (the caller among them) each claim the next document. URLs
+  /// must be distinct within one batch. Reports come back in input
+  /// order; a failed document carries its error in the result slot.
   std::vector<Result<IngestReport>> IngestBatch(
       std::vector<std::pair<std::string, XmlDocument>> batch, int threads = 4);
 

@@ -1,13 +1,13 @@
-// The DiffBatch pipeline (each worker takes a slot through parse → diff
-// → store over the work-stealing pool) must be a *refinement* of the
-// sequential ingest path: same results, same stored versions,
-// independent of scheduling. These tests drive real batches through the
-// pipeline under every configuration the scheduler can reach — more
-// threads than documents, duplicate URLs, malformed members — and pin
-// the outputs to the single-threaded run (and to plain Ingest) byte for
-// byte. Run them under ASan/UBSan (XYDIFF_SANITIZE) and TSan
-// (XYDIFF_TSAN, tools/run_tsan_tests.sh) to make the scheduling space
-// itself part of the test.
+// The DiffBatch pipeline (each ParallelFor worker takes a slot through
+// parse → diff → store) must be a *refinement* of the sequential ingest
+// path: same results, same stored versions, independent of scheduling.
+// These tests drive real batches through the pipeline under every
+// configuration the scheduler can reach — more threads than documents,
+// duplicate URLs, malformed members — and pin the outputs to the
+// single-threaded run (and to plain Ingest) byte for byte. Run them
+// under ASan/UBSan (XYDIFF_SANITIZE) and TSan (XYDIFF_TSAN,
+// tools/run_tsan_tests.sh) to make the scheduling space itself part of
+// the test.
 
 #include <algorithm>
 #include <map>
@@ -416,6 +416,21 @@ TEST(ParallelPipelineTest, DeferredMonitorsAnswerSearchesIdentically) {
     // index must still answer exactly like the always-inline warehouse.
     EXPECT_EQ(deferred_wh.Search(word), inline_wh.Search(word)) << word;
   }
+}
+
+TEST(PipelineStatsTest, ToStringListsEveryStage) {
+  PipelineStats stats;
+  stats.stages.push_back({"parse", 100, 2, 0, 0.25});
+  stats.stages.push_back({"diff", 98, 0, 5, 0.0});
+  stats.peak_in_flight = 12;
+  stats.degraded_slots = 4;
+  stats.wall_seconds = 1.5;
+  const std::string text = stats.ToString();
+  EXPECT_NE(text.find("parse"), std::string::npos);
+  EXPECT_NE(text.find("diff"), std::string::npos);
+  EXPECT_NE(text.find("100"), std::string::npos);
+  EXPECT_NE(text.find("retries"), std::string::npos);
+  EXPECT_NE(text.find("degraded slots 4"), std::string::npos);
 }
 
 }  // namespace

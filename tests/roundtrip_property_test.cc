@@ -150,7 +150,7 @@ TEST_P(RoundTripProperty, ArenaParsedDocumentsDiffAndPatchIdentically) {
 
 // Same property a third time, now through the parallel warehouse
 // pipeline: the raw serialized versions go through DiffBatch (parse →
-// diff → store on the work-stealing pool), and the stored versions
+// diff → store on ParallelFor workers), and the stored versions
 // checked out afterwards must equal the originals. Whatever the
 // scheduler does, apply(diff(v1,v2), v1) == v2 must survive the
 // production batch path too.

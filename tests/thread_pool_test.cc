@@ -1,11 +1,15 @@
-// Unit tests for the work-stealing pool the warehouse pipeline runs on.
-// The pool's contract: every submitted task runs exactly once, Wait()
-// returns only after the last task (and every task it spawned
-// transitively) finished, and tasks may Submit from inside a worker
-// without deadlock.
+// Unit tests for ParallelFor, the one parallel primitive the warehouse
+// batch calls run on. Its contract: every index in [0, count) runs
+// exactly once, on at most min(max(threads, 1), count) threads with the
+// caller among them, and the call returns only after the last body did.
 
+#include <algorithm>
 #include <atomic>
-#include <functional>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -14,87 +18,56 @@
 namespace xydiff {
 namespace {
 
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr int kTasks = 1000;
-  std::vector<std::atomic<int>> ran(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&ran, i] { ran[i].fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(ran[i].load(), 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
-  ThreadPool pool(1);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 100; ++i) {
-    pool.Submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-// Tasks submitted from inside a task (the pipeline's "push downstream"
-// shape) must run before Wait() returns, however deep the chain.
-TEST(ThreadPoolTest, NestedSubmitsCompleteBeforeWait) {
-  ThreadPool pool(3);
-  std::atomic<int> depth_sum{0};
-  std::function<void(int)> spawn = [&](int depth) {
-    depth_sum.fetch_add(1, std::memory_order_relaxed);
-    if (depth < 6) {
-      pool.Submit([&spawn, depth] { spawn(depth + 1); });
-      pool.Submit([&spawn, depth] { spawn(depth + 1); });
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t count : {0u, 1u, 7u, 1000u}) {
+    for (int threads : {-1, 0, 1, 2, 4, 8}) {
+      const size_t width =
+          std::min(static_cast<size_t>(std::max(threads, 1)), count);
+      std::vector<std::atomic<int>> ran(count);
+      std::mutex mutex;
+      std::set<std::thread::id> ids;
+      std::vector<size_t> order;
+      ParallelFor(count, threads, [&](size_t i) {
+        ran[i].fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+        order.push_back(i);
+      });
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(ran[i].load(), 1)
+            << "index " << i << ", count " << count << ", threads " << threads;
+      }
+      EXPECT_LE(ids.size(), width)
+          << "count " << count << ", threads " << threads;
+      if (width == 1) {
+        // No thread started: the caller ran every index, in order.
+        EXPECT_EQ(ids, std::set<std::thread::id>{caller})
+            << "count " << count << ", threads " << threads;
+        for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+      }
     }
-  };
-  pool.Submit([&spawn] { spawn(0); });
-  pool.Wait();
-  // A full binary tree of depth 6: 2^7 - 1 nodes.
-  EXPECT_EQ(depth_sum.load(), 127);
+  }
 }
 
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(4);
-  pool.Wait();  // Must not hang.
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, ThreadCountIsClampedToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.thread_count(), 1);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran.store(true); });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(PipelineStatsTest, ToStringListsEveryStage) {
-  PipelineStats stats;
-  stats.stages.push_back({"parse", 100, 2, 0, 0.25});
-  stats.stages.push_back({"diff", 98, 0, 5, 0.0});
-  stats.peak_in_flight = 12;
-  stats.degraded_slots = 4;
-  stats.wall_seconds = 1.5;
-  const std::string text = stats.ToString();
-  EXPECT_NE(text.find("parse"), std::string::npos);
-  EXPECT_NE(text.find("diff"), std::string::npos);
-  EXPECT_NE(text.find("100"), std::string::npos);
-  EXPECT_NE(text.find("retries"), std::string::npos);
-  EXPECT_NE(text.find("degraded slots 4"), std::string::npos);
+// With two threads and two indices the bodies must overlap: each waits
+// (bounded, so a sequential run fails instead of hanging) until both
+// have arrived.
+TEST(ParallelForTest, TwoThreadsRunTwoBodiesConcurrently) {
+  std::mutex mutex;
+  std::condition_variable arrived_cv;
+  int arrived = 0;
+  std::atomic<int> met{0};
+  ParallelFor(2, 2, [&](size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++arrived;
+    arrived_cv.notify_all();
+    if (arrived_cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return arrived == 2; })) {
+      met.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(met.load(), 2);
 }
 
 }  // namespace

@@ -358,7 +358,7 @@ int CmdBatch(const Args& args) {
   }
 
   Warehouse::PipelineOptions pipeline;
-  pipeline.threads = ThreadPool::DefaultThreadCount();
+  pipeline.threads = DefaultThreadCount();
   if (auto threads = args.Get("--threads")) {
     Result<long> parsed = ParsePositive("--threads", *threads);
     if (!parsed.ok()) return Fail(parsed.status());

@@ -13,8 +13,8 @@ Enforces repository invariants the compiler cannot (see DESIGN.md §3.11):
                       headers that exist, each marked `IWYU pragma: export`,
                       in sorted order.
   naked-thread        No `std::thread` outside util/thread_pool.* — all
-                      parallelism goes through ThreadPool so Wait()/join
-                      discipline and the capability annotations apply.
+                      parallelism goes through ParallelFor, which joins
+                      every thread it starts before it returns.
   void-discard        A `(void)` cast (usually a deliberately dropped
                       [[nodiscard]] Status) needs a justification comment
                       on the same or one of the two preceding lines.
@@ -267,8 +267,8 @@ def lint_file(path, rel, src_root, findings):
                 if not allowed(raw_lines, lineno, "naked-thread"):
                     findings.append(Finding(
                         rel, lineno, "naked-thread",
-                        "std::thread outside util/thread_pool — submit to "
-                        "ThreadPool instead"))
+                        "std::thread outside util/thread_pool — use "
+                        "ParallelFor instead"))
 
         # raw-io: product code reads and writes only through the Env.
         if (in_src or in_tools) and not is_env:
