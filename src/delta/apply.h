@@ -1,6 +1,8 @@
 #ifndef XYDIFF_DELTA_APPLY_H_
 #define XYDIFF_DELTA_APPLY_H_
 
+#include <memory>
+
 #include "delta/delta.h"
 #include "util/status.h"
 #include "xml/document.h"
@@ -45,10 +47,17 @@ Status ApplyDelta(const Delta& delta, XmlDocument* doc,
                   const ApplyOptions& options = {});
 
 /// Applies the inverse of `delta` (target version -> source version).
-/// Equivalent to `ApplyDelta(InvertDelta(delta), doc)` without
-/// materializing the inverse.
+/// Equivalent to `ApplyDelta(InvertDelta(delta), doc)` — same result,
+/// same verification, same Status codes — without materializing the
+/// inverse: the delta is read with its roles swapped (deletes as
+/// inserts and back, move origin and destination, old and new values
+/// and next-XID states), so each snapshot is cloned once, straight into
+/// the document.
 Status ApplyDeltaInverse(const Delta& delta, XmlDocument* doc,
                          const ApplyOptions& options = {});
+
+/// XID index of a DeltaPathApplicator's working document (apply.cc).
+class XidTable;
 
 /// Piecewise application of a path of consecutive deltas, after the
 /// piecewise applicator of monotone's xdelta: one working document is
@@ -57,15 +66,24 @@ Status ApplyDeltaInverse(const Delta& delta, XmlDocument* doc,
 /// reconstruction (version/repository.h), whose checkpoint + skip-delta
 /// plan is exactly such a path.
 ///
+/// Cost: O(base) once, for the XID index built at the first Push, plus
+/// O(|delta|) per Push. The applicator keeps that one index current
+/// through the whole path (a delete unregisters its subtree, an insert
+/// registers its clone, a move keeps its XIDs) instead of re-indexing
+/// the document at every step, and an inverse step reads the delta with
+/// its roles swapped instead of copying it.
+///
 /// Per-step verification is off: the store proves chain integrity when
 /// it loads (CRC-64 per file plus a chain replay on any degradation),
 /// and re-checking every snapshot at every hop would cost more than the
 /// application itself. Apply the path to a throwaway clone when a step
-/// may legitimately fail.
+/// may legitimately fail; after a failed Push the next one re-indexes
+/// the document.
 class DeltaPathApplicator {
  public:
   /// Starts from `base` — the version at the beginning of the path.
-  explicit DeltaPathApplicator(XmlDocument base) : doc_(std::move(base)) {}
+  explicit DeltaPathApplicator(XmlDocument base);
+  ~DeltaPathApplicator();
 
   DeltaPathApplicator(const DeltaPathApplicator&) = delete;
   DeltaPathApplicator& operator=(const DeltaPathApplicator&) = delete;
@@ -81,6 +99,7 @@ class DeltaPathApplicator {
 
  private:
   XmlDocument doc_;
+  std::unique_ptr<XidTable> index_;  // Covers doc_ once built.
   size_t applications_ = 0;
 };
 

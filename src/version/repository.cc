@@ -170,8 +170,9 @@ Result<XmlDocument> VersionRepository::Checkout(int version,
   if (plan_complete) {
     DeltaPathApplicator applicator(index_.checkpoint->Clone());
     for (const Delta* step : plan) {
-      // One check per application: each Push is O(delta), the natural
-      // granularity for abandoning a reconstruction under deadline.
+      // One check per application: after the first Push indexes the base
+      // (O(base), once), each Push is O(|delta|), the natural granularity
+      // for abandoning a reconstruction under deadline.
       XYDIFF_RETURN_IF_ERROR(checkpoint_guard.Check());
       XYDIFF_RETURN_IF_ERROR(applicator.Push(*step));
     }
